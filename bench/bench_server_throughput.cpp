@@ -3,11 +3,11 @@
 // concurrent clients, cold caches vs warm.
 //
 // Cold models the one-shot flow the server exists to amortize: every
-// request disables the template and extraction caches and lands in a
-// fresh session (a unique, behaviorally inert cache-budget value keeps
-// the session fingerprints distinct), so each one pays full expansion,
-// evaluation and extraction. Warm is the steady state: default options,
-// shared process-wide TemplateCache, per-worker memoized sessions.
+// request lands in a fresh session (a unique, behaviorally inert
+// cache-budget value keeps the session fingerprints distinct), so each
+// one pays expansion against the process-wide TemplateCache, full
+// evaluation, and extraction on a cold extraction cache. Warm is the
+// steady state: default options, per-worker memoized sessions.
 //
 // Every response — cold and warm, at every concurrency — must carry a
 // front byte-identical to in-process Synthesizer::synthesize; the exit
@@ -39,10 +39,8 @@ genus::ComponentSpec fig3_spec() {
 
 api::RequestOptions cold_options(int request_index) {
   api::RequestOptions o;
-  o.use_template_cache = false;
-  o.use_extraction_cache = false;
-  // Distinct fingerprint per request -> fresh session per request. The
-  // budget itself never binds (the extraction cache is off).
+  // Distinct fingerprint per request -> fresh session (cold extraction
+  // cache) per request. The 1 GiB budget itself never binds.
   o.extraction_cache_budget_bytes = (1L << 30) + request_index;
   return o;
 }

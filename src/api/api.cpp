@@ -219,11 +219,6 @@ Json encode_options(const RequestOptions& o) {
       .set("max_alternatives_per_node", o.max_alternatives_per_node)
       .set("max_combinations_per_impl", o.max_combinations_per_impl)
       .set("min_delay_gain", o.min_delay_gain)
-      .set("use_compiled_plan", o.use_compiled_plan)
-      .set("node_parallel", o.node_parallel)
-      .set("delta_cache_keys", o.delta_cache_keys)
-      .set("use_template_cache", o.use_template_cache)
-      .set("use_extraction_cache", o.use_extraction_cache)
       .set("template_cache_budget_bytes", o.template_cache_budget_bytes)
       .set("extraction_cache_budget_bytes", o.extraction_cache_budget_bytes)
       .set("trace_path", o.trace_path)
@@ -245,13 +240,6 @@ RequestOptions decode_options(const Json& j) {
   o.max_combinations_per_impl =
       j.int_or("max_combinations_per_impl", o.max_combinations_per_impl);
   o.min_delay_gain = j.num_or("min_delay_gain", o.min_delay_gain);
-  o.use_compiled_plan = j.bool_or("use_compiled_plan", o.use_compiled_plan);
-  o.node_parallel = j.bool_or("node_parallel", o.node_parallel);
-  o.delta_cache_keys = j.bool_or("delta_cache_keys", o.delta_cache_keys);
-  o.use_template_cache =
-      j.bool_or("use_template_cache", o.use_template_cache);
-  o.use_extraction_cache =
-      j.bool_or("use_extraction_cache", o.use_extraction_cache);
   o.template_cache_budget_bytes = j.int_or("template_cache_budget_bytes",
                                            o.template_cache_budget_bytes);
   o.extraction_cache_budget_bytes = j.int_or(
@@ -280,12 +268,7 @@ dtas::SpaceOptions RequestOptions::space_options() const {
   o.max_alternatives_per_node = max_alternatives_per_node;
   o.max_combinations_per_impl = max_combinations_per_impl;
   o.min_delay_gain = min_delay_gain;
-  o.use_compiled_plan = use_compiled_plan;
-  o.node_parallel = node_parallel;
-  o.delta_cache_keys = delta_cache_keys;
   o.threads = threads;
-  o.use_template_cache = use_template_cache;
-  o.use_extraction_cache = use_extraction_cache;
   o.deadline_ms = deadline_ms;
   o.deadline_best_effort = deadline_best_effort;
   // The unset sentinels (-1 budgets, "" trace path) flow through to the
@@ -303,11 +286,7 @@ std::string RequestOptions::fingerprint() const {
   out << "filter=" << filter << ";alts=" << max_alternatives_per_node
       << ";comb=" << max_combinations_per_impl
       << ";gain=" << format_json_number(min_delay_gain)
-      << ";plan=" << use_compiled_plan << ";threads=" << threads
-      << ";npar=" << node_parallel << ";dkeys=" << delta_cache_keys
-      << ";tcache=" << use_template_cache
-      << ";xcache=" << use_extraction_cache
-      << ";tbudget=" << template_cache_budget_bytes
+      << ";threads=" << threads << ";tbudget=" << template_cache_budget_bytes
       << ";xbudget=" << extraction_cache_budget_bytes
       << ";trace=" << trace_path;
   return out.str();

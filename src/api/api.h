@@ -64,6 +64,14 @@ netlist::Module decode_netlist(const Json& j);
 /// flat, JSON-serializable subset whose unset sentinels resolve through
 /// the documented env defaults (see file comment). space_options() is
 /// the single translation point.
+///
+/// The wire carries no equivalence-oracle toggles. The retired
+/// reference-path switches older clients still send (compiled plan,
+/// node-parallel evaluation, cache keying, template and extraction cache
+/// on/off; README "Framing and schema" lists the keys) are accepted and
+/// ignored on decode, which reads only the keys it knows. Every one of
+/// them was output-neutral, so such a request gets the same session and
+/// the same bytes as one without them.
 struct RequestOptions {
   long deadline_ms = 0;           // 0 = unbounded
   bool deadline_best_effort = false;
@@ -72,11 +80,6 @@ struct RequestOptions {
   int max_alternatives_per_node = 24;
   long max_combinations_per_impl = 100000;
   double min_delay_gain = 0.10;
-  bool use_compiled_plan = true;
-  bool node_parallel = true;      // antichain-parallel evaluate (threads > 1)
-  bool delta_cache_keys = true;   // content-fingerprint cache/session keys
-  bool use_template_cache = true;
-  bool use_extraction_cache = true;
   long template_cache_budget_bytes = -1;    // -1 = BRIDGE_CACHE_BUDGET default
   long extraction_cache_budget_bytes = -1;  // -1 = BRIDGE_CACHE_BUDGET default
   std::string trace_path;                   // "" = BRIDGE_TRACE default

@@ -288,6 +288,14 @@ std::size_t TemplateCache::size() const {
   return n;
 }
 
+bool default_verify_designs() {
+#ifndef NDEBUG
+  return true;
+#else
+  return false;
+#endif
+}
+
 DesignSpace::DesignSpace(const RuleBase& rules,
                          const cells::CellLibrary& library,
                          SpaceOptions options)
@@ -486,9 +494,7 @@ void DesignSpace::expand_node(SpecNode* node) {
       // what makes sharing the process-wide cache across libraries
       // *sound* (a LambdaRule with private behavior gets a private key;
       // two same-named library rules over divergent content can never
-      // collide), so it is not subject to the delta_cache_keys toggle:
-      // soundness is an invariant, only retarget warm-reuse (extraction
-      // / session keying) is optional.
+      // collide): soundness is an invariant, not an option.
       const std::uint64_t rule_fp = rule->slice_fingerprint();
       TemplateCache& cache = TemplateCache::global();
       cached = cache.find(rule->name(), rule_fp, spec);

@@ -258,6 +258,11 @@ struct SpecNode {
 /// favorable-tradeoff filter, i.e. Pareto).
 enum class FilterKind { kPareto, kNone, kAreaOnly, kDelayOnly };
 
+/// SpaceOptions::verify_designs' default, fixed by the library's own
+/// build: true when design_space.cpp is compiled without NDEBUG. Defined
+/// out of line so that every includer sees the same default.
+bool default_verify_designs();
+
 struct SpaceOptions {
   FilterKind filter = FilterKind::kPareto;
   /// Cap on surviving alternatives per node (after filtering).
@@ -308,31 +313,11 @@ struct SpaceOptions {
   /// toggle off (the serial recursive path, kept as the reference).
   /// Inert at threads == 1.
   bool node_parallel = true;
-  /// Key the per-Synthesizer ExtractionCache (modules, names, traces) by
-  /// content fingerprint — SpecNode::slice_fp, the spec plus everything
-  /// the expanded subtree bound — instead of node address (default), so
-  /// warm extraction state survives Synthesizer::retarget and is reused
-  /// exactly when the content that produced it matches; the server keys
-  /// warm sessions by library content fingerprint under the same toggle.
-  /// Off, the historical pointer identities are used — they cannot
-  /// outlive their space, so retargets start cold; kept as the reference
-  /// path for byte-identity testing. Fronts, descriptions, and VHDL are
-  /// identical either way within a session. Note the process-wide
-  /// TemplateCache always keys by (rule name, rule fingerprint, spec):
-  /// cross-library sharing soundness is an invariant, not an option.
-  bool delta_cache_keys = true;
   /// Serve rule expansions from the process-wide TemplateCache (and
   /// publish misses into it). Off, every expansion re-runs TemplateBuilder
   /// and plan compilation — kept for equivalence testing; the resulting
   /// design space is bit-identical either way.
   bool use_template_cache = true;
-  /// Materialize each distinct (spec node, alternative) subtree once per
-  /// Synthesizer (dtas::ExtractionCache) and share the immutable module
-  /// across every AlternativeDesign that contains it, instead of rebuilding
-  /// the subtree into every design. Off, every design owns a private copy
-  /// of every module (the reference path, kept for equivalence testing);
-  /// descriptions and emitted VHDL are byte-identical either way.
-  bool use_extraction_cache = true;
   /// Non-empty: start the process span tracer (obs::Tracer) into this
   /// file when the space is constructed, as if BRIDGE_TRACE had been set
   /// — the programmatic hook for tracing one synthesis. The first path
@@ -373,14 +358,12 @@ struct SpaceOptions {
   /// alternative design before synthesize returns, and throw
   /// bridge::Error on any error-severity diagnostic — the assert-clean
   /// backstop for cache/parallel bugs that produce malformed netlists.
-  /// On by default in Debug and sanitizer builds (NDEBUG unset), off in
-  /// Release; fronts, descriptions, and VHDL are byte-identical with the
-  /// toggle on or off (linting only reads the designs).
-#ifndef NDEBUG
-  bool verify_designs = true;
-#else
-  bool verify_designs = false;
-#endif
+  /// The default is default_verify_designs(): on when the library itself
+  /// is built without NDEBUG (Debug and sanitizer builds), off in Release
+  /// — whatever the includer's own flags. Fronts, descriptions, and VHDL
+  /// are byte-identical with the toggle on or off (linting only reads the
+  /// designs).
+  bool verify_designs = default_verify_designs();
 };
 
 struct SpaceStats {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <sstream>
-#include <tuple>
 
 #include "base/diag.h"
 #include "base/fault.h"
@@ -125,18 +123,14 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Materializes chosen alternatives into hierarchical modules. With the
-/// extraction cache enabled, each distinct (node, alternative) subtree is
-/// built once per session as an immutable shared module and merely
-/// *registered* with every further design that needs it; disabled, every
-/// design owns a private copy of every module (the reference path). Both
-/// paths draw module names from the session table in ExtractionCache and
-/// walk subtrees in the same pre-order, so the hierarchies they produce
-/// are byte-identical under emission.
+/// Materializes chosen alternatives into hierarchical modules. Each
+/// distinct (node, alternative) subtree is built once per session as an
+/// immutable shared module in the ExtractionCache and merely *registered*
+/// with every further design that needs it. Module names come from the
+/// session table in ExtractionCache.
 class Extractor {
  public:
-  Extractor(Design& out, ExtractionCache& cache, bool use_cache)
-      : out_(out), cache_(cache), use_cache_(use_cache) {}
+  Extractor(Design& out, ExtractionCache& cache) : out_(out), cache_(cache) {}
 
   /// Module implementing (node, alt), registered with the design (along
   /// with its transitive children). Only valid for decomposition alts.
@@ -145,19 +139,13 @@ class Extractor {
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
 
-    if (!use_cache_) {
-      Module& mod = out_.add_module(cache_.name_for(node, alt_index));
-      fill(mod, node, alt_index, /*shared_build=*/false);
-      memo_[key] = &mod;
-      return &mod;
-    }
     std::shared_ptr<const Module> shared = shared_module(node, alt_index);
     const Module* raw = shared.get();
     out_.reference_module(std::move(shared));
     memo_[key] = raw;
     // Register the subtree's decomposition children with the design in
-    // the same pre-order the cache-off path creates them (the emitters
-    // walk module_order(), so the order is part of the contract).
+    // pre-order (the emitters walk module_order(), so the order is part
+    // of the contract).
     for_each_decomp_child(node, alt_index,
                           [this](const SpecNode* child, int child_alt) {
                             materialize(child, child_alt);
@@ -170,17 +158,15 @@ class Extractor {
   /// (registered with) the design.
   Instance& bind_instance(Module& mod, const Instance& ti,
                           const SpecNode* child, int child_alt) {
-    return bind(mod, ti, child, child_alt, /*shared_build=*/false);
+    return bind(mod, ti, child, child_alt, /*children=*/nullptr);
   }
 
  private:
   /// Build the body of the module implementing (node, alt) from its
-  /// implementation template. `shared_build` selects how module children
-  /// are resolved: cache-only (building a shared module that must not
-  /// touch any particular design) or design registration.
+  /// implementation template; `children` collects the shared modules its
+  /// instances point at.
   void fill(Module& mod, const SpecNode* node, int alt_index,
-            bool shared_build,
-            std::vector<std::shared_ptr<const Module>>* children = nullptr) {
+            std::vector<std::shared_ptr<const Module>>& children) {
     // Probe before any of `mod` is built: an injected throw here models
     // a mid-extraction failure, and the unwind must discard the partial
     // module without publishing it (inserts happen only after a
@@ -206,7 +192,7 @@ class Extractor {
       const int child_index = inst_child.at(ti_index++);
       const SpecNode* child = impl->children[child_index];
       const int child_alt = alt.child_alt.at(child_index);
-      bind(mod, ti, child, child_alt, shared_build, children);
+      bind(mod, ti, child, child_alt, &children);
     }
   }
 
@@ -222,15 +208,18 @@ class Extractor {
     // own insert (whose budget sweep must not reclaim it) through this
     // insert, where the entry takes them over as subtree pins.
     std::vector<std::shared_ptr<const Module>> children;
-    fill(*mod, node, alt_index, /*shared_build=*/true, &children);
+    fill(*mod, node, alt_index, children);
     return cache_.insert(node, alt_index, std::move(mod),
                          std::move(children));
   }
 
+  /// Instantiate (child, child_alt) for template instance `ti` in `mod`.
+  /// A decomposition child goes into `children` when `mod` is a shared
+  /// module under construction, or is registered with the design when
+  /// `children` is null (`mod` is the design's own top).
   Instance& bind(Module& mod, const Instance& ti, const SpecNode* child,
-                 int child_alt, bool shared_build,
-                 std::vector<std::shared_ptr<const Module>>* children =
-                     nullptr) {
+                 int child_alt,
+                 std::vector<std::shared_ptr<const Module>>* children) {
     const Alternative& calt = child->alts.at(child_alt);
     const ImplNode* cimpl = child->impls.at(calt.impl_index).get();
     if (cimpl->is_leaf()) {
@@ -271,7 +260,7 @@ class Extractor {
       return ni;
     }
     const Module* child_mod;
-    if (shared_build) {
+    if (children != nullptr) {
       std::shared_ptr<const Module> shared = shared_module(child, child_alt);
       child_mod = shared.get();
       children->push_back(std::move(shared));
@@ -303,70 +292,41 @@ class Extractor {
 
   Design& out_;
   ExtractionCache& cache_;
-  const bool use_cache_;
   std::map<std::pair<const SpecNode*, int>, const Module*> memo_;
 };
 
-/// Short human-readable traces of chosen implementations, memoized per
-/// (node, alternative, depth). The alternatives of one front share most
-/// of their child subtrees, so recomputing the joins per alternative —
-/// ~20% of single-spec wall before memoization — repeats the same string
-/// assembly over and over; one Describer spans every alternative of a
-/// synthesize call and builds each subtree trace once.
-class Describer {
- public:
-  /// With a cache, traces memoize into its session-wide table (surviving
-  /// across synthesize calls) through the narrow find/memoize accessors;
-  /// without one (extraction cache off), a per-call local map serves the
-  /// same role.
-  explicit Describer(ExtractionCache* cache) : cache_(cache) {}
-
-  const std::string& describe(const SpecNode* node, int alt_index,
-                              int depth) {
-    // Without a cache the table is per-call, so any injective key works;
-    // slice_fp is injective within one space (distinct nodes differ in
-    // spec, and the spec fingerprint seeds slice_fp).
-    const Key key{cache_ != nullptr ? cache_->node_key(node)
-                                    : node->slice_fp,
-                  alt_index, depth};
-    if (cache_ != nullptr) {
-      if (const std::string* hit = cache_->find_describe(key)) return *hit;
-    } else {
-      auto it = local_.find(key);
-      if (it != local_.end()) return it->second;
-    }
-    const Alternative& alt = node->alts.at(alt_index);
-    const ImplNode* impl = node->impls.at(alt.impl_index).get();
-    std::string s;
-    if (impl->is_leaf()) {
-      s = impl->cell->name;
-    } else {
-      s = impl->rule_name;
-      if (depth > 0 && !impl->children.empty()) {
-        std::vector<std::string> parts;
-        for (size_t c = 0; c < impl->children.size(); ++c) {
-          const SpecNode* child = impl->children[c];
-          // Only describe "interesting" children (skip SSI gate fodder).
-          if (child->spec.kind == Kind::kGate) continue;
-          parts.push_back(genus::kind_name(child->spec.kind) + ":" +
-                          describe(child, alt.child_alt[c], depth - 1));
-        }
-        if (!parts.empty()) s += " (" + join(parts, ", ") + ")";
+/// Short human-readable trace of a chosen implementation, memoized per
+/// (node, alternative, depth) in the session's ExtractionCache. The
+/// alternatives of one front share most of their child subtrees, so
+/// recomputing the joins per alternative — ~20% of single-spec wall
+/// before memoization — repeats the same string assembly over and over;
+/// the memo builds each subtree trace once per session.
+const std::string& describe(ExtractionCache& cache, const SpecNode* node,
+                            int alt_index, int depth) {
+  const ExtractionCache::DescribeKey key{cache.node_key(node), alt_index,
+                                         depth};
+  if (const std::string* hit = cache.find_describe(key)) return *hit;
+  const Alternative& alt = node->alts.at(alt_index);
+  const ImplNode* impl = node->impls.at(alt.impl_index).get();
+  std::string s;
+  if (impl->is_leaf()) {
+    s = impl->cell->name;
+  } else {
+    s = impl->rule_name;
+    if (depth > 0 && !impl->children.empty()) {
+      std::vector<std::string> parts;
+      for (size_t c = 0; c < impl->children.size(); ++c) {
+        const SpecNode* child = impl->children[c];
+        // Only describe "interesting" children (skip SSI gate fodder).
+        if (child->spec.kind == Kind::kGate) continue;
+        parts.push_back(genus::kind_name(child->spec.kind) + ":" +
+                        describe(cache, child, alt.child_alt[c], depth - 1));
       }
+      if (!parts.empty()) s += " (" + join(parts, ", ") + ")";
     }
-    if (cache_ != nullptr) return cache_->memoize_describe(key, std::move(s));
-    return local_.emplace(key, std::move(s)).first->second;
   }
-
- private:
-  using Key = ExtractionCache::DescribeKey;
-  ExtractionCache* cache_;  // null = use the per-call local table
-  std::map<Key, std::string> local_;
-};
-
-}  // namespace
-
-namespace {
+  return cache.memoize_describe(key, std::move(s));
+}
 
 /// Registry mirrors of the extraction-cache lifecycle counters. The
 /// bytes gauge aggregates across every live ExtractionCache in the
@@ -405,17 +365,6 @@ void ExtractionCache::set_budget_bytes(std::size_t budget) {
   evict_to_budget();
 }
 
-void ExtractionCache::clear() {
-  ExtractionCacheMetrics::get().bytes.add(-static_cast<long>(bytes_));
-  modules_.clear();
-  names_.clear();
-  name_uses_.clear();
-  describe_memo_.clear();
-  bytes_ = 0;
-  tick_ = 0;
-  stats_.bytes = 0;
-}
-
 void ExtractionCache::evict_to_budget() {
   if (budget_ == 0) return;
   while (bytes_ > budget_) {
@@ -442,16 +391,13 @@ void ExtractionCache::evict_to_budget() {
   }
 }
 
-std::uint64_t ExtractionCache::node_key(const SpecNode* node) const {
-  if (content_keys_) {
-    // slice_fp is 0 only before expansion; extraction always runs on
-    // evaluated (hence expanded) nodes, so a zero here is a caller bug.
-    BRIDGE_CHECK(node->slice_fp != 0,
-                 "extraction-cache key requested for unexpanded node "
-                     << node->spec.key());
-    return node->slice_fp;
-  }
-  return reinterpret_cast<std::uint64_t>(node);
+std::uint64_t ExtractionCache::node_key(const SpecNode* node) {
+  // slice_fp is 0 only before expansion; extraction always runs on
+  // evaluated (hence expanded) nodes, so a zero here is a caller bug.
+  BRIDGE_CHECK(node->slice_fp != 0,
+               "extraction-cache key requested for unexpanded node "
+                   << node->spec.key());
+  return node->slice_fp;
 }
 
 const std::string& ExtractionCache::name_for(const SpecNode* node,
@@ -601,7 +547,6 @@ Synthesizer::Synthesizer(RuleBase rules, const cells::CellLibrary& library,
                          SpaceOptions options)
     : rules_(std::move(rules)) {
   space_.emplace(rules_, library, options);
-  extract_cache_.set_content_keys(options.delta_cache_keys);
   if (options.extraction_cache_budget_bytes >= 0) {
     extract_cache_.set_budget_bytes(
         static_cast<std::size_t>(options.extraction_cache_budget_bytes));
@@ -622,43 +567,17 @@ void Synthesizer::retarget(RuleBase rules, const cells::CellLibrary& library) {
   space_.reset();
   rules_ = std::move(rules);
   space_.emplace(rules_, library, options);
-  // Content-keyed entries survive on purpose — soundness lives in the
-  // key, and identical content re-keys onto them. Pointer keys cannot
-  // outlive the space whose node addresses they are: the allocator may
-  // recycle those addresses, so the reference mode starts cold.
-  if (!extract_cache_.content_keys()) extract_cache_.clear();
 }
 
 std::vector<AlternativeDesign> Synthesizer::synthesize(
     const ComponentSpec& spec) {
-  obs::Span synth_span("synthesize", "dtas");
-  ProfileScope prof(profile_, "synthesize:" + spec.key(), *space_,
-                    extract_cache_);
-  space_->arm_deadline();
-  SpecNode* node;
-  {
-    PhaseTimer t(prof.profile(), "expand");
-    node = space_->expand(spec);
-  }
-  {
-    PhaseTimer t(prof.profile(), "evaluate");
-    space_->evaluate(node);
-  }
-  obs::Span extract_span("extract", "dtas");
-  PhaseTimer extract_timer(prof.profile(), "extract");
-  const bool use_cache = space_->options().use_extraction_cache;
-  std::vector<AlternativeDesign> out;
-  Describer describer(use_cache ? &extract_cache_ : nullptr);
-  for (size_t a = 0; a < node->alts.size(); ++a) {
-    // Best-effort deadline: the alternatives already materialized form a
-    // valid (prefix of the) front; throw mode unwinds with nothing
-    // published (the caches only ever hold complete entries).
-    if (space_->deadline_exceeded()) break;
-    const Alternative& alt = node->alts[a];
+  const auto build = [&](const std::vector<SpecNode*>& roots, std::size_t a,
+                         const Alternative& alt) {
+    const SpecNode* node = roots.front();
+    const int index = static_cast<int>(a);
     const ImplNode* impl = node->impls.at(alt.impl_index).get();
     AlternativeDesign d;
-    d.metric = alt.metric;
-    d.description = describer.describe(node, static_cast<int>(a), 2);
+    d.description = describe(extract_cache_, node, index, 2);
     d.design = std::make_shared<Design>(sanitize(spec.key()) + "__alt" +
                                         std::to_string(a));
     if (impl->is_leaf()) {
@@ -685,100 +604,60 @@ std::vector<AlternativeDesign> Synthesizer::synthesize(
       }
       d.design->set_top(&top);
     } else {
-      Extractor ex(*d.design, extract_cache_, use_cache);
-      const Module* top = ex.materialize(node, static_cast<int>(a));
-      d.design->set_top(top);
+      Extractor ex(*d.design, extract_cache_);
+      d.design->set_top(ex.materialize(node, index));
     }
-    out.push_back(std::move(d));
-  }
-  extract_timer.finish();
-  extract_span.close();
-  if (space_->options().verify_designs) {
-    obs::Span verify_span("verify", "dtas");
-    PhaseTimer t(prof.profile(), "verify");
-    verify_or_throw(out, lint_cache_);
-  }
-  return out;
+    return d;
+  };
+  return run_pipeline("synthesize:" + spec.key(), {&spec},
+                      /*netlist_odometer=*/nullptr, build);
 }
 
 std::vector<AlternativeDesign> Synthesizer::synthesize_netlist(
     const Module& input) {
-  obs::Span synth_span("synthesize", "dtas");
-  ProfileScope prof(profile_, "synthesize_netlist:" + input.name(), *space_,
-                    extract_cache_);
-  space_->arm_deadline();
-  // Expand and evaluate every distinct instance specification.
-  std::vector<SpecNode*> children;
-  {
-    PhaseTimer t(prof.profile(), "expand");
-    for (const Instance& inst : input.instances()) {
-      BRIDGE_CHECK(inst.ref == RefKind::kSpec,
-                   "synthesize_netlist input must be a netlist of "
-                   "specification instances");
-      SpecNode* node = space_->expand(inst.spec);
-      if (std::find(children.begin(), children.end(), node) ==
-          children.end()) {
-        children.push_back(node);
-      }
-    }
+  std::vector<const ComponentSpec*> specs;
+  for (const Instance& inst : input.instances()) {
+    BRIDGE_CHECK(inst.ref == RefKind::kSpec,
+                 "synthesize_netlist input must be a netlist of "
+                 "specification instances");
+    specs.push_back(&inst.spec);
   }
-  std::vector<Alternative> kept;
-  std::unique_ptr<TimingPlan> plan_owned;  // compiled inside the scope below
-  const int n = static_cast<int>(children.size());
-  {
-    PhaseTimer t(prof.profile(), "evaluate");
-    for (SpecNode* c : children) {
-      space_->evaluate(c);
-      if (c->alts.empty()) return {};  // unrealizable instance
-    }
+  // Compiled once from the input netlist by the odometer; its
+  // instance->child map also drives materialization.
+  std::unique_ptr<TimingPlan> plan;
+  const auto odometer = [&](const std::vector<SpecNode*>& children) {
     const EvalSchedule topo = DesignSpace::topo_order(input);
-
-    // Compile the input netlist once; the plan's instance→child map also
-    // drives materialization below.
     std::vector<const ComponentSpec*> child_specs;
     child_specs.reserve(children.size());
     for (const SpecNode* c : children) child_specs.push_back(&c->spec);
-    plan_owned = std::make_unique<TimingPlan>(
+    plan = std::make_unique<TimingPlan>(
         TimingPlan::compile(input, topo, child_specs));
 
     // Odometer over per-spec choices (uniform across the whole netlist) —
     // the same hot loop as per-implementation evaluation, one level up.
-    // The per-spec evaluate() calls above opened their own depth-0
-    // "evaluate" spans; this one covers the netlist-level sweep.
+    // The per-spec evaluate() calls opened their own depth-0 "evaluate"
+    // spans; this one covers the netlist-level sweep.
     obs::Span eval_span("evaluate", "dtas");
-    std::vector<int> limit(n);
-    for (int c = 0; c < n; ++c) {
+    std::vector<int> limit(children.size());
+    for (std::size_t c = 0; c < children.size(); ++c) {
       limit[c] = static_cast<int>(children[c]->alts.size());
     }
     DesignSpace::trim_limits(limit,
                              space_->options().max_combinations_per_impl);
-
     std::vector<Alternative> candidates;
     if (space_->options().use_compiled_plan) {
       ParetoFront front;
-      space_->run_plan_odometer(*plan_owned, children, limit, /*impl_index=*/0,
-                               front, candidates);
+      space_->run_plan_odometer(*plan, children, limit, /*impl_index=*/0,
+                                front, candidates);
     } else {
       space_->run_reference_odometer(input, topo, children, limit,
-                                    /*impl_index=*/0, candidates);
+                                     /*impl_index=*/0, candidates);
     }
-    kept = space_->filter_alternatives(std::move(candidates));
-  }
-  const TimingPlan& plan = *plan_owned;
-  obs::Span extract_span("extract", "dtas");
-  PhaseTimer extract_timer(prof.profile(), "extract");
-
-  // Materialize each surviving combination. One Describer spans every
-  // combination: their per-spec choices overlap heavily, so child traces
-  // are built once instead of once per alternative.
-  const bool use_cache = space_->options().use_extraction_cache;
-  std::vector<AlternativeDesign> out;
-  Describer describer(use_cache ? &extract_cache_ : nullptr);
-  for (size_t a = 0; a < kept.size(); ++a) {
-    if (space_->deadline_exceeded()) break;
-    const Alternative& alt = kept[a];
+    return space_->filter_alternatives(std::move(candidates));
+  };
+  const auto build = [&](const std::vector<SpecNode*>& children,
+                         std::size_t a, const Alternative& alt) {
     AlternativeDesign d;
-    d.metric = alt.metric;
     d.design = std::make_shared<Design>(input.name() + "__alt" +
                                         std::to_string(a));
     Module& top = d.design->add_module(
@@ -791,21 +670,70 @@ std::vector<AlternativeDesign> Synthesizer::synthesize_netlist(
         top.add_net(nn.name, nn.width);
       }
     }
-    Extractor ex(*d.design, extract_cache_, use_cache);
-    std::vector<std::string> parts;
+    Extractor ex(*d.design, extract_cache_);
     int ti_index = 0;
     for (const Instance& ti : input.instances()) {
-      const int ci = plan.instance_child().at(ti_index++);
+      const int ci = plan->instance_child().at(ti_index++);
       ex.bind_instance(top, ti, children[ci], alt.child_alt[ci]);
     }
-    for (int c = 0; c < n; ++c) {
+    // The alternatives' per-spec choices overlap heavily, so the memoized
+    // child traces are built once instead of once per alternative.
+    std::vector<std::string> parts;
+    for (std::size_t c = 0; c < children.size(); ++c) {
       parts.push_back(genus::kind_name(children[c]->spec.kind) + ":" +
-                      describer.describe(children[c], alt.child_alt[c], 1));
+                      describe(extract_cache_, children[c],
+                               alt.child_alt[c], 1));
     }
     d.description = join(parts, "; ");
     d.design->set_top(&top);
+    return d;
+  };
+  return run_pipeline("synthesize_netlist:" + input.name(), specs, odometer,
+                      build);
+}
+
+std::vector<AlternativeDesign> Synthesizer::run_pipeline(
+    std::string profile_name, const std::vector<const ComponentSpec*>& specs,
+    const NetlistOdometer& netlist_odometer, const BuildAlternative& build) {
+  obs::Span synth_span("synthesize", "dtas");
+  ProfileScope prof(profile_, std::move(profile_name), *space_,
+                    extract_cache_);
+  space_->arm_deadline();
+  std::vector<SpecNode*> roots;  // distinct, in first-use order
+  {
+    PhaseTimer t(prof.profile(), "expand");
+    for (const ComponentSpec* spec : specs) {
+      SpecNode* node = space_->expand(*spec);
+      if (std::find(roots.begin(), roots.end(), node) == roots.end()) {
+        roots.push_back(node);
+      }
+    }
+  }
+  std::vector<Alternative> kept;
+  {
+    PhaseTimer t(prof.profile(), "evaluate");
+    for (SpecNode* root : roots) {
+      space_->evaluate(root);
+      if (root->alts.empty()) return {};  // unrealizable
+    }
+    if (netlist_odometer) kept = netlist_odometer(roots);
+  }
+  const std::vector<Alternative>& front =
+      netlist_odometer ? kept : roots.front()->alts;
+  obs::Span extract_span("extract", "dtas");
+  PhaseTimer extract_timer(prof.profile(), "extract");
+  std::vector<AlternativeDesign> out;
+  for (std::size_t a = 0; a < front.size(); ++a) {
+    // Best-effort deadline: the alternatives already materialized form a
+    // valid (prefix of the) front; throw mode unwinds with nothing
+    // published (the caches only ever hold complete entries).
+    if (space_->deadline_exceeded()) break;
+    const Alternative& alt = front[a];
+    AlternativeDesign d = build(roots, a, alt);
+    d.metric = alt.metric;
     out.push_back(std::move(d));
   }
+  // Stop "extract" before "verify" opens, so the two phases are disjoint.
   extract_timer.finish();
   extract_span.close();
   if (space_->options().verify_designs) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -38,22 +39,20 @@ struct AlternativeDesign {
 /// referenced by every AlternativeDesign that contains it
 /// (netlist::Design::reference_module keeps it alive per design).
 ///
-/// Keying is delta-aware: the public interface still speaks
+/// Keying is by content: the public interface speaks
 /// (SpecNode*, alternative), but entries are stored under the node's
 /// *content* fingerprint (SpecNode::slice_fp — the spec plus everything
 /// the expanded subtree bound: cells, rules, children). Pointers die with
 /// their DesignSpace; content keys survive Synthesizer::retarget, so
 /// swinging to a different library and back (or to a library with
 /// identical content) re-extracts nothing that was already materialized.
-/// With SpaceOptions::delta_cache_keys off the cache falls back to
-/// pointer identity — the reference path retarget cannot reuse.
+/// Soundness lives in the key, so no entry ever needs invalidating.
 ///
-/// The cache also owns two session-wide tables both extraction paths use:
+/// The cache also owns two session-wide tables:
 ///  - the module name table: names are unique across the whole session
 ///    (two distinct nodes whose sanitized spec keys collide get "_u<k>"
-///    uniquifiers), so a shared module can appear in any design, and the
-///    cache-off reference path names every module identically;
-///  - the memoized implementation traces behind Describer.
+///    uniquifiers), so a shared module can appear in any design;
+///  - the memoized implementation traces of the front's descriptions.
 ///
 /// Lifecycle: modules are byte-accounted, and under a budget
 /// (set_budget_bytes / SpaceOptions::extraction_cache_budget_bytes /
@@ -83,8 +82,7 @@ class ExtractionCache {
   ExtractionCache& operator=(const ExtractionCache&) = delete;
 
   /// Session-unique, VHDL-legal module name for (node, alt). Memoized;
-  /// first-request order fixes uniquifier assignment, and the cache-on
-  /// and cache-off paths request names in the same order.
+  /// first-request order fixes uniquifier assignment.
   const std::string& name_for(const SpecNode* node, int alt_index);
 
   /// Uniquify `base` against every name this session handed out: the
@@ -108,7 +106,7 @@ class ExtractionCache {
       std::vector<std::shared_ptr<const netlist::Module>> children = {});
 
   /// Memoized (node, alternative, depth) implementation traces, shared by
-  /// every Describer of the session (see synthesizer.cpp). The table is
+  /// every synthesize call of the session (see synthesizer.cpp). The table is
   /// private state — callers get a lookup and a publish, not the map
   /// (handing the mutable map across the session boundary let any caller
   /// corrupt memoized traces out from under later synthesize calls).
@@ -125,18 +123,10 @@ class ExtractionCache {
   /// Distinct memoized traces (diagnostics / tests).
   std::size_t describe_memo_size() const { return describe_memo_.size(); }
 
-  /// The cache identity of `node` — its content fingerprint
-  /// (SpecNode::slice_fp, only valid once expanded) under delta-aware
-  /// keys, its address under the pointer-keyed reference mode. Exposed
-  /// so Describer (and tests) can build DescribeKeys consistently.
-  std::uint64_t node_key(const SpecNode* node) const;
-
-  /// Select content (delta-aware, default) vs pointer keying. Must be
-  /// chosen before the first use of the session: flipping it mid-session
-  /// would split the tables. The Synthesizer wires this to
-  /// SpaceOptions::delta_cache_keys at construction.
-  void set_content_keys(bool content) { content_keys_ = content; }
-  bool content_keys() const { return content_keys_; }
+  /// The cache identity of `node`: its content fingerprint
+  /// (SpecNode::slice_fp, only valid once expanded). Exposed so the trace
+  /// memo (and tests) can build DescribeKeys consistently.
+  static std::uint64_t node_key(const SpecNode* node);
 
   /// Byte budget; 0 = unbounded. The constructor takes the
   /// BRIDGE_CACHE_BUDGET default. Setting a budget sweeps immediately;
@@ -148,13 +138,6 @@ class ExtractionCache {
   const Stats& stats() const { return stats_; }
   /// Distinct modules resident (evicted ones no longer count).
   std::size_t size() const { return modules_.size(); }
-
-  /// Drop every table — modules, names, describe memos. Cumulative stats
-  /// survive (they count session work, not residency). Only the
-  /// pointer-keyed retarget path needs this: once the old DesignSpace is
-  /// destroyed its node addresses can be recycled, so stale pointer keys
-  /// could falsely hit. Content keys never need invalidation.
-  void clear();
 
  private:
   using Key = std::pair<std::uint64_t, int>;  // (node_key(node), alt)
@@ -176,7 +159,6 @@ class ExtractionCache {
   std::map<Key, std::string> names_;
   std::map<std::string, int> name_uses_;  // base -> names handed out
   std::map<DescribeKey, std::string> describe_memo_;
-  bool content_keys_ = true;
   std::size_t budget_ = 0;
   std::size_t bytes_ = 0;
   std::uint64_t tick_ = 0;
@@ -226,9 +208,7 @@ class Synthesizer {
   /// finds every previously materialized subtree warm, while changed
   /// content simply misses (the soundness is in the key, not in any
   /// invalidation sweep). The process-wide TemplateCache likewise carries
-  /// over by construction. With delta_cache_keys off the kept entries are
-  /// unreachable (pointer keys die with the old space) — correct, just
-  /// cold.
+  /// over by construction.
   void retarget(const cells::CellLibrary& library);
 
   /// As above with an explicit rule base (takes ownership).
@@ -251,6 +231,26 @@ class Synthesizer {
   const obs::Profile& last_profile() const { return profile_; }
 
  private:
+  /// The netlist-level odometer: the filtered front over the evaluated
+  /// roots' per-spec choices (synthesize_netlist only).
+  using NetlistOdometer = std::function<std::vector<Alternative>(
+      const std::vector<SpecNode*>& roots)>;
+  /// Builds alternative `index` of the front — its design, top module
+  /// and description (the pipeline fills in the metric).
+  using BuildAlternative = std::function<AlternativeDesign(
+      const std::vector<SpecNode*>& roots, std::size_t index,
+      const Alternative& alt)>;
+
+  /// The one synthesis pipeline behind synthesize and synthesize_netlist:
+  /// expand the distinct roots of `specs`, evaluate them (then run
+  /// `netlist_odometer` when set, else the front is the single root's),
+  /// extract every alternative through `build`, and verify. Profiles the
+  /// call as `profile_name`, phases expand/evaluate/extract/verify.
+  std::vector<AlternativeDesign> run_pipeline(
+      std::string profile_name,
+      const std::vector<const genus::ComponentSpec*>& specs,
+      const NetlistOdometer& netlist_odometer, const BuildAlternative& build);
+
   RuleBase rules_;
   /// optional only so retarget() can destroy-and-rebuild in place (the
   /// space holds a reference to rules_ and is neither movable nor

@@ -321,6 +321,45 @@ TEST(ApiSessionTest, FingerprintSeparatesSpaceShapingOptionsOnly) {
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
+TEST(ApiSessionTest, RetiredOracleKeysAreAcceptedAndIgnored) {
+  // Older clients still send the reference-path toggles that used to be
+  // wire fields. They decode without error, select the default session,
+  // and get the default request's answer byte for byte.
+  api::SynthesisRequest want;
+  want.library = cells::lsi_library().name();
+  want.spec = genus::make_alu_spec(16, genus::alu16_ops());
+  want.options.emit_vhdl = true;
+  Json wire = want.encode();
+  Json options = wire.at("options");
+  options.set("use_compiled_plan", false)
+      .set("node_parallel", false)
+      .set("delta_cache_keys", false)
+      .set("use_template_cache", false)
+      .set("use_extraction_cache", false);
+  wire.set("options", options);
+  const api::SynthesisRequest got =
+      api::SynthesisRequest::from_json(wire.dump());
+  EXPECT_EQ(got.options.fingerprint(), want.options.fingerprint());
+  EXPECT_EQ(got.options, want.options);
+  EXPECT_EQ(got.to_json().find("use_extraction_cache"), std::string::npos)
+      << "retired keys must not be re-encoded";
+
+  auto registry = cells::LibraryRegistry::with_builtins();
+  const api::SynthesisResult a = api::run_request(want, registry);
+  const api::SynthesisResult b = api::run_request(got, registry);
+  ASSERT_TRUE(a.ok()) << a.error;
+  ASSERT_TRUE(b.ok()) << b.error;
+  ASSERT_FALSE(a.alternatives.empty());
+  ASSERT_EQ(b.alternatives.size(), a.alternatives.size());
+  for (std::size_t i = 0; i < a.alternatives.size(); ++i) {
+    EXPECT_EQ(b.alternatives[i].area, a.alternatives[i].area) << i;
+    EXPECT_EQ(b.alternatives[i].delay, a.alternatives[i].delay) << i;
+    EXPECT_EQ(b.alternatives[i].description, a.alternatives[i].description)
+        << i;
+    EXPECT_EQ(b.alternatives[i].vhdl, a.alternatives[i].vhdl) << i;
+  }
+}
+
 TEST(ApiSessionTest, DescribeMemoIsEncapsulated) {
   // The describe memo is reachable only through the narrow accessors
   // (the old describe_memo() handed out the mutable map).

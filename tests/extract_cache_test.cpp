@@ -1,21 +1,19 @@
 // Extraction-side caching and the extraction-path contracts.
 //
-// The extraction cache must be transparent: a Synthesizer extracting with
-// SpaceOptions::use_extraction_cache off (every AlternativeDesign owns a
-// private copy of every module — the original path) and one extracting
-// with it on (each distinct (SpecNode, alternative) subtree materialized
-// once and shared across the front) must produce byte-identical
-// descriptions and byte-identical structural VHDL, against every registry
-// library, for single-spec and whole-netlist synthesis alike. The cache-on
-// front must actually *share* storage: the same netlist::Module address
-// appearing in several alternatives' designs. The remaining tests pin the
-// extraction contracts this PR fixed: session-unique module naming under
-// sanitized-key collisions, the no-silently-floating-input rule in
-// instance binding, and VHDL-legal identifiers from digit-leading names.
+// Each distinct (SpecNode, alternative) subtree is materialized once per
+// session and shared across the front. A warm session (every module
+// already materialized) must produce byte-identical descriptions and
+// structural VHDL to a cold one, against every registry library, for
+// single-spec and whole-netlist synthesis alike; tests/golden_fronts_test
+// pins the bytes themselves. The front must actually *share* storage: the
+// same netlist::Module address appearing in several alternatives'
+// designs. The remaining tests pin the extraction contracts: session-
+// unique module naming under sanitized-key collisions, the
+// no-silently-floating-input rule in instance binding, and VHDL-legal
+// identifiers from digit-leading names.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,7 +31,6 @@ namespace {
 
 using dtas::AlternativeDesign;
 using dtas::ExtractionCache;
-using dtas::SpaceOptions;
 using dtas::SpecNode;
 using genus::ComponentSpec;
 using genus::Op;
@@ -50,12 +47,6 @@ const cells::LibraryRegistry& registry() {
     return r;
   }();
   return reg;
-}
-
-SpaceOptions options_with_cache(bool use_cache) {
-  SpaceOptions opt;
-  opt.use_extraction_cache = use_cache;
-  return opt;
 }
 
 struct FrontRecord {
@@ -75,13 +66,27 @@ FrontRecord record_front(const std::vector<AlternativeDesign>& alts) {
   return rec;
 }
 
-void expect_identical(const FrontRecord& off, const FrontRecord& on,
+void expect_identical(const FrontRecord& a, const FrontRecord& b,
                       const std::string& what) {
   SCOPED_TRACE(what);
-  EXPECT_EQ(off.areas, on.areas);    // exact double equality
-  EXPECT_EQ(off.delays, on.delays);  // exact double equality
-  EXPECT_EQ(off.descriptions, on.descriptions);
-  EXPECT_EQ(off.vhdl, on.vhdl);
+  EXPECT_EQ(a.areas, b.areas);    // exact double equality
+  EXPECT_EQ(a.delays, b.delays);  // exact double equality
+  EXPECT_EQ(a.descriptions, b.descriptions);
+  EXPECT_EQ(a.vhdl, b.vhdl);
+}
+
+/// Number of distinct modules that appear in more than one design.
+int shared_module_count(const std::vector<AlternativeDesign>& alts) {
+  std::map<const Module*, int> appearances;
+  for (const auto& a : alts) {
+    for (const Module* m : a.design->module_order()) ++appearances[m];
+  }
+  int shared = 0;
+  for (const auto& [mod, count] : appearances) {
+    (void)mod;
+    if (count > 1) ++shared;
+  }
+  return shared;
 }
 
 /// The 8-bit two-instance datapath used for netlist-level equivalence.
@@ -106,7 +111,7 @@ Module make_input_netlist() {
   return input;
 }
 
-TEST(ExtractCacheTest, CacheOnOffByteIdenticalAcrossLibraries) {
+TEST(ExtractCacheTest, ColdAndWarmByteIdenticalAcrossLibraries) {
   const std::vector<ComponentSpec> specs = {
       genus::make_alu_spec(16, genus::alu16_ops()),
       genus::make_adder_spec(32),
@@ -115,25 +120,20 @@ TEST(ExtractCacheTest, CacheOnOffByteIdenticalAcrossLibraries) {
   for (const cells::CellLibrary* lib : registry().all()) {
     for (const ComponentSpec& spec : specs) {
       SCOPED_TRACE(lib->name() + " / " + spec.key());
-      dtas::Synthesizer off(*lib, options_with_cache(false));
-      dtas::Synthesizer on(*lib, options_with_cache(true));
-      const FrontRecord off_rec = record_front(off.synthesize(spec));
-      const FrontRecord cold_rec = record_front(on.synthesize(spec));
+      dtas::Synthesizer synth(*lib);
+      const FrontRecord cold_rec = record_front(synth.synthesize(spec));
       // A second synthesize on the same Synthesizer extracts on a warm
       // cache (every module already materialized).
-      const FrontRecord warm_rec = record_front(on.synthesize(spec));
-      expect_identical(off_rec, cold_rec, "cold cache");
-      expect_identical(off_rec, warm_rec, "warm cache");
+      const FrontRecord warm_rec = record_front(synth.synthesize(spec));
+      expect_identical(cold_rec, warm_rec, "warm cache");
 
-      // Off never touches the cache; on materializes each distinct
-      // subtree exactly once — the warm pass adds no misses.
-      EXPECT_EQ(off.extraction_cache().stats().hits, 0);
-      EXPECT_EQ(off.extraction_cache().stats().misses, 0);
-      const auto& stats = on.extraction_cache().stats();
+      // Each distinct subtree is materialized exactly once — the warm
+      // pass adds no misses.
+      const auto& stats = synth.extraction_cache().stats();
       EXPECT_GT(stats.misses, 0);
       EXPECT_GT(stats.hits, 0);
       EXPECT_EQ(static_cast<std::size_t>(stats.misses),
-                on.extraction_cache().size())
+                synth.extraction_cache().size())
           << "every miss publishes exactly one module";
     }
   }
@@ -144,50 +144,35 @@ TEST(ExtractCacheTest, NetlistSynthesisByteIdenticalAndShared) {
   ASSERT_TRUE(netlist::check_module(input).empty());
   for (const cells::CellLibrary* lib : registry().all()) {
     SCOPED_TRACE(lib->name());
-    dtas::Synthesizer off(*lib, options_with_cache(false));
-    dtas::Synthesizer on(*lib, options_with_cache(true));
-    const auto off_alts = off.synthesize_netlist(input);
-    const auto on_alts = on.synthesize_netlist(input);
-    expect_identical(record_front(off_alts), record_front(on_alts),
+    dtas::Synthesizer synth(*lib);
+    const auto cold = synth.synthesize_netlist(input);
+    const long misses = synth.extraction_cache().stats().misses;
+    const auto warm = synth.synthesize_netlist(input);
+    expect_identical(record_front(cold), record_front(warm),
                      "netlist front");
-  }
-}
-
-TEST(ExtractCacheTest, AlternativesShareModuleStorage) {
-  // The alternatives of one front overlap heavily in their subtrees; with
-  // the cache on, an overlapping subtree is the *same* Module object in
-  // every design that contains it.
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
-  const auto alts =
-      synth.synthesize(genus::make_alu_spec(16, genus::alu16_ops()));
-  ASSERT_GE(alts.size(), 2u);
-  std::map<const Module*, int> appearances;
-  for (const auto& a : alts) {
-    for (const Module* m : a.design->module_order()) ++appearances[m];
-  }
-  int shared_modules = 0;
-  for (const auto& [mod, count] : appearances) {
-    (void)mod;
-    if (count > 1) ++shared_modules;
-  }
-  EXPECT_GT(shared_modules, 0)
-      << "no module address is shared across alternatives";
-
-  // The reference path must NOT share: every design owns its copies.
-  dtas::Synthesizer ref(cells::lsi_library(), options_with_cache(false));
-  const auto ref_alts =
-      ref.synthesize(genus::make_alu_spec(16, genus::alu16_ops()));
-  std::set<const Module*> seen;
-  for (const auto& a : ref_alts) {
-    for (const Module* m : a.design->module_order()) {
-      EXPECT_TRUE(seen.insert(m).second)
-          << "cache-off design shares module storage";
+    EXPECT_EQ(synth.extraction_cache().stats().misses, misses)
+        << "warm netlist extraction must not materialize any new module";
+    if (cold.size() >= 2) {
+      EXPECT_GT(shared_module_count(cold), 0)
+          << "no module address is shared across netlist alternatives";
     }
   }
 }
 
+TEST(ExtractCacheTest, AlternativesShareModuleStorage) {
+  // The alternatives of one front overlap heavily in their subtrees; an
+  // overlapping subtree is the *same* Module object in every design that
+  // contains it.
+  dtas::Synthesizer synth(cells::lsi_library());
+  const auto alts =
+      synth.synthesize(genus::make_alu_spec(16, genus::alu16_ops()));
+  ASSERT_GE(alts.size(), 2u);
+  EXPECT_GT(shared_module_count(alts), 0)
+      << "no module address is shared across alternatives";
+}
+
 TEST(ExtractCacheTest, WarmSynthesisReusesEarlierModules) {
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
+  dtas::Synthesizer synth(cells::lsi_library());
   const ComponentSpec spec = genus::make_adder_spec(32);
   const auto first = synth.synthesize(spec);
   const long misses_after_first = synth.extraction_cache().stats().misses;
@@ -203,7 +188,7 @@ TEST(ExtractCacheTest, WarmSynthesisReusesEarlierModules) {
 }
 
 TEST(ExtractCacheTest, EmissionCacheRendersEachModuleOnce) {
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
+  dtas::Synthesizer synth(cells::lsi_library());
   const auto alts =
       synth.synthesize(genus::make_alu_spec(16, genus::alu16_ops()));
   ASSERT_GE(alts.size(), 2u);
@@ -270,12 +255,8 @@ TEST(ExtractCacheTest, StrippedTemplateConnectionThrows) {
   input.connect(g, "I0", a);
   // I1 deliberately left unconnected.
   input.connect(g, "OUT", out);
-  for (bool use_cache : {false, true}) {
-    dtas::Synthesizer synth(cells::lsi_library(),
-                            options_with_cache(use_cache));
-    EXPECT_THROW(synth.synthesize_netlist(input), Error)
-        << "use_cache=" << use_cache;
-  }
+  dtas::Synthesizer synth(cells::lsi_library());
+  EXPECT_THROW(synth.synthesize_netlist(input), Error);
 }
 
 TEST(ExtractCacheTest, DigitLeadingNetlistNameEmitsLegalVhdl) {
@@ -300,7 +281,7 @@ TEST(ExtractCacheTest, DigitLeadingNetlistNameEmitsLegalVhdl) {
     renamed.connect(buf, "OUT", out);
   }
   ASSERT_TRUE(netlist::check_module(renamed).empty());
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
+  dtas::Synthesizer synth(cells::lsi_library());
   const auto alts = synth.synthesize_netlist(renamed);
   ASSERT_FALSE(alts.empty());
   const std::string text = vhdl::emit_structural(*alts.front().design);

@@ -13,9 +13,6 @@
 //  - Retargeting a Synthesizer back to content-identical library state
 //    re-extracts nothing (extraction-cache misses stay flat) and
 //    reproduces the original front byte-for-byte.
-//  - Fronts, descriptions, and VHDL are byte-identical with delta-aware
-//    keys on vs off, across all three registry libraries and at thread
-//    counts 1 and 8.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -352,49 +349,6 @@ TEST(Retarget, ContentIdenticalReturnIsExtractionWarm) {
   // `other` really came from the other library (different content).
   if (!other.empty() && !first.empty()) {
     EXPECT_NE(vhdl_of(other), first_vhdl);
-  }
-}
-
-TEST(Retarget, PointerKeysStayColdAcrossRetarget) {
-  dtas::SpaceOptions opt;
-  opt.delta_cache_keys = false;  // the historical reference mode
-  const ComponentSpec add = genus::make_adder_spec(16);
-  dtas::Synthesizer synth(cells::lsi_library(), opt);
-  const auto first = synth.synthesize(add);
-  ASSERT_FALSE(first.empty());
-  synth.retarget(cells::lsi_library());
-  const dtas::ExtractionCache::Stats before =
-      synth.extraction_cache().stats();
-  const auto again = synth.synthesize(add);
-  const dtas::ExtractionCache::Stats after = synth.extraction_cache().stats();
-  expect_identical(again, first, "pointer-keyed retarget front");
-  EXPECT_GT(after.misses, before.misses)
-      << "pointer keys die with the old space, so this must re-materialize";
-}
-
-// --- delta keys on/off byte-identity ----------------------------------------
-
-TEST(DeltaKeys, OnOffByteIdenticalAcrossLibrariesAndThreads) {
-  const ComponentSpec alu = genus::make_alu_spec(16, genus::alu16_ops());
-  for (const CellLibrary* lib : registry().all()) {
-    std::vector<dtas::AlternativeDesign> reference;
-    for (const int threads : {1, 8}) {
-      for (const bool delta : {true, false}) {
-        dtas::SpaceOptions opt;
-        opt.threads = threads;
-        opt.delta_cache_keys = delta;
-        dtas::Synthesizer synth(*lib, opt);
-        auto front = synth.synthesize(alu);
-        const std::string context = lib->name() + " threads=" +
-                                    std::to_string(threads) + " delta=" +
-                                    std::to_string(delta);
-        if (reference.empty() && !front.empty()) {
-          reference = std::move(front);
-          continue;
-        }
-        expect_identical(front, reference, context);
-      }
-    }
   }
 }
 

@@ -459,13 +459,13 @@ TEST(LintSweep, FrontsLintCleanAcrossTogglesAndThreads) {
   const Module datapath = make_datapath(8);
 
   struct Config {
-    bool caches;
+    bool template_cache;
     int threads;
     bool verify;
   };
   // The verify=false run is the byte-identity reference; every other
   // config runs with post-extraction verification on (the throw path),
-  // covering cache toggles and thread counts.
+  // covering the template-cache toggle and thread counts.
   const std::vector<Config> configs = {
       {true, 1, false},  // reference
       {true, 1, true},  {false, 1, true},
@@ -477,9 +477,7 @@ TEST(LintSweep, FrontsLintCleanAcrossTogglesAndThreads) {
     for (std::size_t ci = 0; ci < configs.size(); ++ci) {
       const Config& cfg = configs[ci];
       dtas::SpaceOptions opt;
-      opt.use_template_cache = cfg.caches;
-      opt.use_extraction_cache = cfg.caches;
-      opt.delta_cache_keys = cfg.caches;
+      opt.use_template_cache = cfg.template_cache;
       opt.threads = cfg.threads;
       opt.verify_designs = cfg.verify;
       dtas::Synthesizer synth(*lib, opt);

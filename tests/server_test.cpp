@@ -308,6 +308,41 @@ TEST_F(ServerTest, ShutdownMethodUnblocksWait) {
   EXPECT_FALSE(server_->running());
 }
 
+TEST_F(ServerTest, BackToBackShortRequestsAcrossConnectionsThenStop) {
+  // Each reader hands its request to a pool worker and returns as soon as
+  // the worker marks it done; the worker must be finished with the
+  // reader's stack-owned hand-off state by then. Many short requests on
+  // several persistent connections make that window as hot as it gets,
+  // and stop() must still return promptly afterwards (the tsan leg runs
+  // this too).
+  constexpr int kConnections = 4;
+  constexpr int kRequestsPerConnection = 150;
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_adder_spec(4);
+  const std::string frame = synthesize_frame(req);
+  std::vector<int> answered(kConnections, 0);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = server::connect_tcp(port());
+      for (int i = 0; i < kRequestsPerConnection; ++i) {
+        server::write_frame(fd, frame);
+        std::string payload;
+        if (!server::read_frame(fd, payload)) break;
+        if (api::SynthesisResult::from_json(payload).ok()) ++answered[c];
+      }
+      server::close_socket(fd);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kConnections; ++c) {
+    EXPECT_EQ(answered[c], kRequestsPerConnection) << "connection " << c;
+  }
+  server_->stop();
+  EXPECT_FALSE(server_->running());
+}
+
 TEST(ServerRetargetTest, ContentIdenticalReloadReusesWarmSession) {
   // The retargeting loop a synthesis service actually sees: a client
   // re-registers a .lib it just re-read from disk. Sessions are keyed by

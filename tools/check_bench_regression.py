@@ -31,8 +31,9 @@ GATED = [
 
 # Entries gated on an absolute within-run speedup floor instead of a ratio
 # against the committed baseline. The expansion- and extraction-phase
-# headlines (warm template / extraction cache vs the matching cache-off
-# path in bench_fig3_alu64) measure sub-millisecond cached phases, so
+# headlines in bench_fig3_alu64 (warm template cache vs the template-cache-
+# off path; warm extraction cache vs the cold-cache extraction of a fresh
+# Synthesizer) measure sub-millisecond cached phases, so
 # their ratios are too noisy to diff against a number measured on another
 # machine — but each must never fall back under the 3x bar its cache was
 # landed against.
