@@ -49,6 +49,42 @@ void BitVec::set_bit(int i, bool v) {
   }
 }
 
+namespace {
+
+std::uint64_t low_mask(int len) {
+  return len == 64 ? ~0ULL : (1ULL << len) - 1;
+}
+
+void check_field(int lo, int len, int width) {
+  BRIDGE_CHECK(len >= 1 && len <= 64 && lo >= 0 && lo + len <= width,
+               "field [" << lo << ", " << lo + len << ") out of width "
+                         << width);
+}
+
+}  // namespace
+
+std::uint64_t BitVec::field(int lo, int len) const {
+  check_field(lo, len, width_);
+  const int w = lo / kWordBits;
+  const int s = lo % kWordBits;
+  std::uint64_t v = data_[w] >> s;
+  if (s + len > kWordBits) v |= data_[w + 1] << (kWordBits - s);
+  return v & low_mask(len);
+}
+
+void BitVec::set_field(int lo, int len, std::uint64_t value) {
+  check_field(lo, len, width_);
+  const std::uint64_t mask = low_mask(len);
+  value &= mask;
+  const int w = lo / kWordBits;
+  const int s = lo % kWordBits;
+  data_[w] = (data_[w] & ~(mask << s)) | (value << s);
+  if (s + len > kWordBits) {
+    const int done = kWordBits - s;  // bits that landed in word w
+    data_[w + 1] = (data_[w + 1] & ~(mask >> done)) | (value >> done);
+  }
+}
+
 std::uint64_t BitVec::to_uint64() const { return data_[0]; }
 
 std::int64_t BitVec::to_int64() const {

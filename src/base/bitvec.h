@@ -35,6 +35,13 @@ class BitVec {
   bool bit(int i) const;
   void set_bit(int i, bool v);
 
+  /// Bits [lo, lo+len) as an integer, 1 <= len <= 64. Word-level: one or
+  /// two shifts and a mask (the simulator's packed bit store uses this).
+  std::uint64_t field(int lo, int len) const;
+  /// Overwrite bits [lo, lo+len) with the low `len` bits of `value`,
+  /// 1 <= len <= 64.
+  void set_field(int lo, int len, std::uint64_t value);
+
   /// Low 64 bits as an unsigned integer (bits above 63 ignored).
   std::uint64_t to_uint64() const;
 

@@ -4,6 +4,7 @@
 
 #include "base/diag.h"
 #include "genus/spec.h"
+#include "obs/trace.h"
 
 namespace bridge::ctrl {
 
@@ -31,6 +32,7 @@ int clog2(int n) {
 }  // namespace
 
 ControllerResult compile_control(const StateTable& table) {
+  obs::Span span("compile", "ctrl");
   BRIDGE_CHECK(!table.rows.empty(), "empty state table");
   const int nstates = table.state_count();
   const int sbits = clog2(nstates);

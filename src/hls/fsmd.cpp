@@ -8,6 +8,7 @@
 
 #include "base/diag.h"
 #include "genus/spec.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace bridge::hls {
@@ -568,47 +569,89 @@ Fsmd synthesize_behavior(const BehavioralDesign& design) {
 
 FsmdRun run_fsmd(const Fsmd& fsmd, const std::map<std::string, BitVec>& inputs,
                  int max_cycles) {
+  obs::Span span("cosim", "sim");
+  const StateTable& table = fsmd.control;
   sim::Simulator simulator(*fsmd.design.top());
   for (const auto& [name, value] : inputs) {
     simulator.set_input(name, value);
   }
+
+  // Resolve the table against the simulator once: control signals and
+  // status ports to port handles, state names to row indices.
+  std::vector<sim::Simulator::Port> controls;
+  for (const auto& [signal, width] : table.control_signals) {
+    controls.push_back(simulator.port(signal));
+  }
+  std::map<std::string, int> row_of;
+  for (size_t i = 0; i < table.rows.size(); ++i) {
+    row_of.emplace(table.rows[i].name, static_cast<int>(i));
+  }
+  auto index_of = [&](const std::string& state) {
+    auto it = row_of.find(state);
+    if (it == row_of.end()) {
+      throw Error("state table has no state '" + state + "'");
+    }
+    return it->second;
+  };
+  struct Edge {
+    bool conditional = false;
+    sim::Simulator::Port status;
+    bool negate = false;
+    int next = 0;
+  };
+  struct Row {
+    std::vector<std::uint64_t> asserts;  // one per control signal
+    std::vector<Edge> edges;
+    bool halt = false;
+  };
+  std::vector<Row> rows;
+  for (const StateRow& r : table.rows) {
+    Row row;
+    for (const auto& [signal, width] : table.control_signals) {
+      auto it = r.asserts.find(signal);
+      row.asserts.push_back(it == r.asserts.end() ? 0 : it->second);
+    }
+    for (const Transition& t : r.transitions) {
+      Edge e;
+      e.conditional = !t.status.empty();
+      if (e.conditional) e.status = simulator.port(t.status);
+      e.negate = t.negate;
+      e.next = index_of(t.next);
+      row.edges.push_back(e);
+    }
+    row.halt = r.name == "HALT";
+    rows.push_back(std::move(row));
+  }
+
   FsmdRun run;
-  std::string state = fsmd.control.initial;
+  int state = index_of(table.initial);
   for (run.cycles = 0; run.cycles < max_cycles; ++run.cycles) {
-    const StateRow& row = fsmd.control.row(state);
-    for (const auto& [signal, width] : fsmd.control.control_signals) {
-      auto it = row.asserts.find(signal);
-      simulator.set_input(signal,
-                          BitVec(width, it == row.asserts.end() ? 0
-                                                                : it->second));
+    const Row& row = rows[state];
+    for (size_t i = 0; i < controls.size(); ++i) {
+      simulator.set_input(controls[i], row.asserts[i]);
     }
-    simulator.eval();
     // Choose the successor.
-    std::string next;
-    for (const Transition& t : row.transitions) {
-      if (t.status.empty()) {
-        next = t.next;
-        break;
-      }
-      bool v = simulator.get(t.status).bit(0);
-      if (v != t.negate) {
-        next = t.next;
+    int next = -1;
+    for (const Edge& e : row.edges) {
+      if (!e.conditional ||
+          ((simulator.get_uint(e.status) & 1) != 0) != e.negate) {
+        next = e.next;
         break;
       }
     }
-    BRIDGE_CHECK(!next.empty(), "state " << state << " has no successor");
-    if (state == "HALT") {
+    BRIDGE_CHECK(next >= 0,
+                 "state " << table.rows[state].name << " has no successor");
+    if (row.halt) {
       run.halted = true;
       break;
     }
     simulator.step();
     state = next;
   }
-  // Outputs are registered; read them after the final eval.
-  simulator.eval();
-  for (const auto& row : fsmd.design.top()->module_ports()) {
-    if (row.dir == genus::PortDir::kOut) {
-      run.outputs[row.name] = simulator.get(row.name);
+  // Outputs are registered; read them after the final propagation.
+  for (const auto& port : fsmd.design.top()->module_ports()) {
+    if (port.dir == genus::PortDir::kOut) {
+      run.outputs[port.name] = simulator.get(port.name);
     }
   }
   return run;

@@ -14,53 +14,38 @@ using genus::PortSpec;
 
 namespace {
 
-/// Fetch an input value, defaulting to zero of the port's width and
-/// normalizing any mismatched width (tie-offs provide 64-bit constants).
-BitVec get_in(const ComponentSpec& spec, const PortValues& inputs,
-              const std::string& name) {
-  const auto ports = genus::spec_ports(spec);
-  const PortSpec& p = genus::find_port(ports, name);
-  auto it = inputs.find(name);
-  if (it == inputs.end()) return BitVec(p.width);
-  return it->second.width() == p.width ? it->second
-                                       : it->second.zext(p.width);
-}
-
-bool get_bit(const ComponentSpec& spec, const PortValues& inputs,
-             const std::string& name) {
-  return get_in(spec, inputs, name).bit(0);
-}
-
 BitVec bool_vec(bool b) { return BitVec(1, b ? 1 : 0); }
 
-/// Apply a gate function across a list of operands (bitwise).
-BitVec apply_gate(Op fn, const std::vector<BitVec>& ins) {
-  BRIDGE_CHECK(!ins.empty(), "gate with no inputs");
+/// Apply a gate function across the fan-in slots of `v` (bitwise).
+BitVec apply_gate(Op fn, const std::vector<BitVec>& v,
+                  const std::vector<int>& fan_in) {
+  BRIDGE_CHECK(!fan_in.empty(), "gate with no inputs");
   switch (fn) {
     case Op::kLnot:
-      return ~ins[0];
+      return ~v[fan_in[0]];
     case Op::kBuf:
-      return ins[0];
+      return v[fan_in[0]];
     case Op::kLimpl:
-      BRIDGE_CHECK(ins.size() == 2, "LIMPL gate needs 2 inputs");
-      return ~ins[0] | ins[1];
+      BRIDGE_CHECK(fan_in.size() == 2, "LIMPL gate needs 2 inputs");
+      return ~v[fan_in[0]] | v[fan_in[1]];
     default:
       break;
   }
-  BitVec acc = ins[0];
-  for (size_t i = 1; i < ins.size(); ++i) {
+  BitVec acc = v[fan_in[0]];
+  for (size_t i = 1; i < fan_in.size(); ++i) {
+    const BitVec& x = v[fan_in[i]];
     switch (fn) {
       case Op::kAnd:
       case Op::kNand:
-        acc = acc & ins[i];
+        acc = acc & x;
         break;
       case Op::kOr:
       case Op::kNor:
-        acc = acc | ins[i];
+        acc = acc | x;
         break;
       case Op::kXor:
       case Op::kXnor:
-        acc = acc ^ ins[i];
+        acc = acc ^ x;
         break;
       default:
         throw Error("unsupported gate function " + genus::op_name(fn));
@@ -70,21 +55,124 @@ BitVec apply_gate(Op fn, const std::vector<BitVec>& ins) {
   return acc;
 }
 
-/// The ALU/LU/shifter operation selected by F (clamped to the last op).
-Op selected_op(const ComponentSpec& spec, const PortValues& inputs) {
-  const auto ops = spec.ops.to_vector();
-  if (ops.size() == 1) return ops[0];
-  std::uint64_t f = get_in(spec, inputs, "F").to_uint64();
-  if (f >= ops.size()) f = ops.size() - 1;
-  return ops[f];
+/// Bitwise logic-group operation (ALU logic group, logic unit).
+BitVec apply_logic(Op op, const BitVec& a, const BitVec& b) {
+  switch (op) {
+    case Op::kAnd:
+      return a & b;
+    case Op::kOr:
+      return a | b;
+    case Op::kNand:
+      return ~(a & b);
+    case Op::kNor:
+      return ~(a | b);
+    case Op::kXor:
+      return a ^ b;
+    case Op::kXnor:
+      return ~(a ^ b);
+    case Op::kLnot:
+      return ~a;
+    case Op::kLimpl:
+      return ~a | b;
+    case Op::kBuf:
+      return a;
+    default:
+      throw Error("unsupported logic op " + genus::op_name(op));
+  }
 }
 
-PortValues eval_alu(const ComponentSpec& spec, const PortValues& inputs) {
-  const int w = spec.width;
-  const BitVec a = get_in(spec, inputs, "A");
-  const BitVec b = get_in(spec, inputs, "B");
-  const bool ci = spec.carry_in ? get_bit(spec, inputs, "CI") : false;
-  const Op op = selected_op(spec, inputs);
+/// Unsigned comparison predicate (comparator outputs, ALU status pins).
+bool compare(Op op, const BitVec& a, const BitVec& b) {
+  switch (op) {
+    case Op::kEq:
+      return a == b;
+    case Op::kNe:
+      return a != b;
+    case Op::kLt:
+      return a.ult(b);
+    case Op::kGt:
+      return a.ugt(b);
+    case Op::kLe:
+      return !a.ugt(b);
+    case Op::kGe:
+      return !a.ult(b);
+    case Op::kZerop:
+      return a.is_zero();
+    default:
+      throw Error("unsupported comparator op " + genus::op_name(op));
+  }
+}
+
+BitVec shift_value(Op op, const BitVec& in, int amount) {
+  switch (op) {
+    case Op::kShl:
+      return in.shl(amount);
+    case Op::kShr:
+      return in.lshr(amount);
+    case Op::kAshr:
+      return in.ashr(amount);
+    case Op::kRotl:
+      return in.rotl(amount);
+    case Op::kRotr:
+      return in.rotr(amount);
+    default:
+      throw Error("unsupported shift op " + genus::op_name(op));
+  }
+}
+
+}  // namespace
+
+const std::array<base::Symbol, Behavior::kPinCount>& Behavior::pin_names() {
+  static const std::array<base::Symbol, kPinCount> names = {
+      "A",     "B",     "C",    "CI",     "CO",   "D",     "F",    "G",
+      "P",     "Q",     "R",    "S",      "GG",   "GP",    "IN",   "EN",
+      "OE",    "O0",    "OUT",  "SEL",    "AMT",  "MODE",  "ASET", "ARST",
+      "ARESET", "CEN",  "CLOAD", "CUP",   "CDOWN", "WE",   "WA",   "WD",
+      "RA",    "RD",    "ADDR", "DIN",    "DOUT", "PUSH",  "POP",  "EMPTY",
+      "FULL",  "CLK"};
+  return names;
+}
+
+Behavior::Behavior(const ComponentSpec& spec)
+    : spec_(spec), ports_(&genus::spec_ports(spec)), ops_(spec.ops.to_vector()) {
+  pin_.fill(-1);
+  const auto& names = pin_names();
+  const auto& ports = *ports_;
+  for (int i = 0; i < static_cast<int>(ports.size()); ++i) {
+    for (int p = 0; p < kPinCount; ++p) {
+      if (ports[i].name == names[p]) pin_[p] = i;
+    }
+  }
+  for (int i = 0;; ++i) {
+    const base::Symbol name("I" + std::to_string(i));
+    auto it = std::find_if(ports.begin(), ports.end(),
+                           [&](const PortSpec& p) { return p.name == name; });
+    if (it == ports.end()) break;
+    fan_in_.push_back(static_cast<int>(it - ports.begin()));
+  }
+  if (spec.kind == Kind::kComparator || spec.kind == Kind::kAlu) {
+    for (Op op : ops_) {
+      if (spec.kind == Kind::kAlu && !genus::op_is_compare(op)) continue;
+      const PortSpec& p = genus::find_port(ports, genus::op_name(op));
+      status_.emplace_back(op, static_cast<int>(&p - ports.data()));
+    }
+  }
+}
+
+/// The ALU/LU/shifter operation selected by F (clamped to the last op).
+Op Behavior::selected_op(const std::vector<BitVec>& v) const {
+  if (ops_.size() == 1) return ops_[0];
+  std::uint64_t f = in(v, kF).to_uint64();
+  if (f >= ops_.size()) f = ops_.size() - 1;
+  return ops_[f];
+}
+
+void Behavior::eval_alu(std::vector<BitVec>& v) const {
+  const int w = spec_.width;
+  const BitVec& a = in(v, kA);
+  const BitVec& b = in(v, kB);
+  const bool ci = spec_.carry_in ? bit(v, kCI) : false;
+  const Op op = selected_op(v);
 
   // Internal datapath: one adder/subtractor with a B-operand selector.
   BitVec b_operand(w);
@@ -118,95 +206,17 @@ PortValues eval_alu(const ComponentSpec& spec, const PortValues& inputs) {
   bool carry = false;
   BitVec datapath = a.add_with_carry(subtract ? ~b_operand : b_operand,
                                      ci, &carry);
-
-  BitVec result(w);
   if (genus::op_is_logic(op)) {
-    switch (op) {
-      case Op::kAnd:
-        result = a & b;
-        break;
-      case Op::kOr:
-        result = a | b;
-        break;
-      case Op::kNand:
-        result = ~(a & b);
-        break;
-      case Op::kNor:
-        result = ~(a | b);
-        break;
-      case Op::kXor:
-        result = a ^ b;
-        break;
-      case Op::kXnor:
-        result = ~(a ^ b);
-        break;
-      case Op::kLnot:
-        result = ~a;
-        break;
-      case Op::kLimpl:
-        result = ~a | b;
-        break;
-      default:
-        throw Error("unhandled ALU logic op");
-    }
+    if (op == Op::kBuf) throw Error("unhandled ALU logic op");
+    out(v, kOUT) = apply_logic(op, a, b);
   } else {
-    result = datapath;
+    out(v, kOUT) = std::move(datapath);
   }
-
-  PortValues out;
-  out["OUT"] = result;
-  if (spec.carry_out) out["CO"] = bool_vec(carry);
-  for (Op status : spec.ops.to_vector()) {
-    if (!genus::op_is_compare(status)) continue;
-    bool v = false;
-    switch (status) {
-      case Op::kEq:
-        v = a == b;
-        break;
-      case Op::kNe:
-        v = a != b;
-        break;
-      case Op::kLt:
-        v = a.ult(b);
-        break;
-      case Op::kGt:
-        v = a.ugt(b);
-        break;
-      case Op::kLe:
-        v = !a.ugt(b);
-        break;
-      case Op::kGe:
-        v = !a.ult(b);
-        break;
-      case Op::kZerop:
-        v = a.is_zero();
-        break;
-      default:
-        break;
-    }
-    out[genus::op_name(status)] = bool_vec(v);
-  }
-  return out;
-}
-
-BitVec shift_value(Op op, const BitVec& in, int amount) {
-  switch (op) {
-    case Op::kShl:
-      return in.shl(amount);
-    case Op::kShr:
-      return in.lshr(amount);
-    case Op::kAshr:
-      return in.ashr(amount);
-    case Op::kRotl:
-      return in.rotl(amount);
-    case Op::kRotr:
-      return in.rotr(amount);
-    default:
-      throw Error("unsupported shift op " + genus::op_name(op));
+  if (spec_.carry_out) out(v, kCO) = bool_vec(carry);
+  for (const auto& [status, slot] : status_) {
+    v[slot] = bool_vec(compare(status, a, b));
   }
 }
-
-}  // namespace
 
 int op_select_code(const ComponentSpec& spec, Op op) {
   const auto ops = spec.ops.to_vector();
@@ -216,197 +226,115 @@ int op_select_code(const ComponentSpec& spec, Op op) {
   throw Error("op " + genus::op_name(op) + " not in spec " + spec.key());
 }
 
-PortValues eval_combinational(const ComponentSpec& spec,
-                              const PortValues& inputs) {
-  const int w = spec.width;
-  PortValues out;
-  switch (spec.kind) {
-    case Kind::kGate: {
-      const Op fn = spec.ops.to_vector().at(0);
-      std::vector<BitVec> ins;
-      const int fanin = spec.size > 0 ? spec.size : 2;
-      for (int i = 0; i < fanin; ++i) {
-        ins.push_back(get_in(spec, inputs, "I" + std::to_string(i)));
-      }
-      out["OUT"] = apply_gate(fn, ins);
+void Behavior::eval(std::vector<BitVec>& v) const {
+  const int w = spec_.width;
+  switch (spec_.kind) {
+    case Kind::kGate:
+      out(v, kOUT) = apply_gate(ops_.at(0), v, fan_in_);
       break;
-    }
-    case Kind::kLogicUnit: {
-      const BitVec a = get_in(spec, inputs, "A");
-      const BitVec b = get_in(spec, inputs, "B");
-      switch (selected_op(spec, inputs)) {
-        case Op::kAnd:
-          out["OUT"] = a & b;
-          break;
-        case Op::kOr:
-          out["OUT"] = a | b;
-          break;
-        case Op::kNand:
-          out["OUT"] = ~(a & b);
-          break;
-        case Op::kNor:
-          out["OUT"] = ~(a | b);
-          break;
-        case Op::kXor:
-          out["OUT"] = a ^ b;
-          break;
-        case Op::kXnor:
-          out["OUT"] = ~(a ^ b);
-          break;
-        case Op::kLnot:
-          out["OUT"] = ~a;
-          break;
-        case Op::kLimpl:
-          out["OUT"] = ~a | b;
-          break;
-        case Op::kBuf:
-          out["OUT"] = a;
-          break;
-        default:
-          throw Error("unsupported LU op");
-      }
+    case Kind::kLogicUnit:
+      out(v, kOUT) = apply_logic(selected_op(v), in(v, kA), in(v, kB));
       break;
-    }
     case Kind::kMux: {
-      std::uint64_t sel = get_in(spec, inputs, "SEL").to_uint64();
-      sel = std::min<std::uint64_t>(sel, spec.size - 1);
-      out["OUT"] = get_in(spec, inputs, "I" + std::to_string(sel));
+      std::uint64_t sel = in(v, kSEL).to_uint64();
+      sel = std::min<std::uint64_t>(sel, spec_.size - 1);
+      out(v, kOUT) = v[fan_in_.at(sel)];
       break;
     }
     case Kind::kSelector: {
       // One-hot select: OR of selected inputs (wired-or of enabled buffers).
-      const BitVec sel = get_in(spec, inputs, "SEL");
+      const BitVec& sel = in(v, kSEL);
       BitVec acc(w);
-      for (int i = 0; i < spec.size; ++i) {
-        if (sel.bit(i)) acc = acc | get_in(spec, inputs, "I" + std::to_string(i));
+      for (int i = 0; i < spec_.size; ++i) {
+        if (sel.bit(i)) acc = acc | v[fan_in_[i]];
       }
-      out["OUT"] = acc;
+      out(v, kOUT) = std::move(acc);
       break;
     }
     case Kind::kDecoder: {
-      const std::uint64_t v = get_in(spec, inputs, "IN").to_uint64();
-      const bool en = spec.enable ? get_bit(spec, inputs, "EN") : true;
-      BitVec o(spec.size);
-      if (en && v < static_cast<std::uint64_t>(spec.size)) {
-        o.set_bit(static_cast<int>(v), true);
+      const std::uint64_t x = in(v, kIN).to_uint64();
+      const bool en = spec_.enable ? bit(v, kEN) : true;
+      BitVec o(spec_.size);
+      if (en && x < static_cast<std::uint64_t>(spec_.size)) {
+        o.set_bit(static_cast<int>(x), true);
       }
-      out["OUT"] = o;
+      out(v, kOUT) = std::move(o);
       break;
     }
     case Kind::kEncoder: {
       // Priority encoder: index of the highest asserted input (0 if none).
-      const BitVec in = get_in(spec, inputs, "IN");
+      const BitVec& x = in(v, kIN);
       int idx = 0;
-      for (int i = spec.size - 1; i >= 0; --i) {
-        if (in.bit(i)) {
+      for (int i = spec_.size - 1; i >= 0; --i) {
+        if (x.bit(i)) {
           idx = i;
           break;
         }
       }
-      out["OUT"] = BitVec(w, static_cast<std::uint64_t>(idx));
+      out(v, kOUT) = BitVec(w, static_cast<std::uint64_t>(idx));
       break;
     }
-    case Kind::kComparator: {
-      const BitVec a = get_in(spec, inputs, "A");
-      const BitVec b = get_in(spec, inputs, "B");
-      for (Op op : spec.ops.to_vector()) {
-        bool v = false;
-        switch (op) {
-          case Op::kEq:
-            v = a == b;
-            break;
-          case Op::kNe:
-            v = a != b;
-            break;
-          case Op::kLt:
-            v = a.ult(b);
-            break;
-          case Op::kGt:
-            v = a.ugt(b);
-            break;
-          case Op::kLe:
-            v = !a.ugt(b);
-            break;
-          case Op::kGe:
-            v = !a.ult(b);
-            break;
-          case Op::kZerop:
-            v = a.is_zero();
-            break;
-          default:
-            throw Error("unsupported comparator op");
-        }
-        out[genus::op_name(op)] = bool_vec(v);
+    case Kind::kComparator:
+      for (const auto& [op, slot] : status_) {
+        v[slot] = bool_vec(compare(op, in(v, kA), in(v, kB)));
       }
       break;
-    }
     case Kind::kAlu:
-      return eval_alu(spec, inputs);
-    case Kind::kShifter: {
-      const BitVec in = get_in(spec, inputs, "IN");
-      out["OUT"] = shift_value(selected_op(spec, inputs), in, 1);
+      eval_alu(v);
       break;
-    }
+    case Kind::kShifter:
+      out(v, kOUT) = shift_value(selected_op(v), in(v, kIN), 1);
+      break;
     case Kind::kBarrelShifter: {
-      const BitVec in = get_in(spec, inputs, "IN");
-      const int amt =
-          static_cast<int>(get_in(spec, inputs, "AMT").to_uint64());
-      out["OUT"] = shift_value(selected_op(spec, inputs), in, amt);
+      const int amt = static_cast<int>(in(v, kAMT).to_uint64());
+      out(v, kOUT) = shift_value(selected_op(v), in(v, kIN), amt);
       break;
     }
-    case Kind::kMultiplier: {
-      const BitVec a = get_in(spec, inputs, "A");
-      const BitVec b = get_in(spec, inputs, "B");
-      out["P"] = a.mul(b, w + spec.size);
+    case Kind::kMultiplier:
+      out(v, kP) = in(v, kA).mul(in(v, kB), w + spec_.size);
       break;
-    }
     case Kind::kDivider: {
-      const BitVec a = get_in(spec, inputs, "A").zext(std::max(w, spec.size));
-      const BitVec b = get_in(spec, inputs, "B").zext(std::max(w, spec.size));
+      const int n = std::max(w, spec_.size);
+      const BitVec a = in(v, kA).zext(n);
+      const BitVec b = in(v, kB).zext(n);
       if (b.is_zero()) {
-        out["Q"] = BitVec::ones(w);
-        out["R"] = get_in(spec, inputs, "A").zext(spec.size);
+        out(v, kQ) = BitVec::ones(w);
+        out(v, kR) = in(v, kA).zext(spec_.size);
       } else {
-        out["Q"] = a.udiv(b).zext(w);
-        out["R"] = a.urem(b).zext(spec.size);
+        out(v, kQ) = a.udiv(b).zext(w);
+        out(v, kR) = a.urem(b).zext(spec_.size);
       }
       break;
     }
     case Kind::kAdder: {
-      const BitVec a = get_in(spec, inputs, "A");
-      const BitVec b = get_in(spec, inputs, "B");
-      const bool ci = spec.carry_in ? get_bit(spec, inputs, "CI") : false;
+      const bool ci = spec_.carry_in ? bit(v, kCI) : false;
       bool carry = false;
-      out["S"] = a.add_with_carry(b, ci, &carry);
-      if (spec.carry_out) out["CO"] = bool_vec(carry);
+      out(v, kS) = in(v, kA).add_with_carry(in(v, kB), ci, &carry);
+      if (spec_.carry_out) out(v, kCO) = bool_vec(carry);
       break;
     }
     case Kind::kSubtractor: {
       // S = A - B - CI (borrow in); CO is the borrow out.
-      const BitVec a = get_in(spec, inputs, "A");
-      const BitVec b = get_in(spec, inputs, "B");
-      const bool bi = spec.carry_in ? get_bit(spec, inputs, "CI") : false;
+      const bool bi = spec_.carry_in ? bit(v, kCI) : false;
       bool carry = false;
-      out["S"] = a.add_with_carry(~b, !bi, &carry);
-      if (spec.carry_out) out["CO"] = bool_vec(!carry);
+      out(v, kS) = in(v, kA).add_with_carry(~in(v, kB), !bi, &carry);
+      if (spec_.carry_out) out(v, kCO) = bool_vec(!carry);
       break;
     }
     case Kind::kAddSub: {
       // Raw datapath: S = A + (MODE ? ~B : B) + CI, CO = raw carry.
-      const BitVec a = get_in(spec, inputs, "A");
-      const BitVec b = get_in(spec, inputs, "B");
-      const bool mode = get_bit(spec, inputs, "MODE");
-      const bool ci = spec.carry_in ? get_bit(spec, inputs, "CI") : false;
+      const BitVec& b = in(v, kB);
+      const bool ci = spec_.carry_in ? bit(v, kCI) : false;
       bool carry = false;
-      out["S"] = a.add_with_carry(mode ? ~b : b, ci, &carry);
-      if (spec.carry_out) out["CO"] = bool_vec(carry);
+      out(v, kS) = in(v, kA).add_with_carry(bit(v, kMODE) ? ~b : b, ci, &carry);
+      if (spec_.carry_out) out(v, kCO) = bool_vec(carry);
       break;
     }
     case Kind::kCarryLookahead: {
-      const int k = spec.size > 0 ? spec.size : 4;
-      const BitVec pvec = get_in(spec, inputs, "P");
-      const BitVec gvec = get_in(spec, inputs, "G");
-      bool carry = get_bit(spec, inputs, "CI");
+      const int k = spec_.size > 0 ? spec_.size : 4;
+      const BitVec& pvec = in(v, kP);
+      const BitVec& gvec = in(v, kG);
+      bool carry = bit(v, kCI);
       BitVec c(k);
       bool gp = true;
       bool gg = false;
@@ -416,9 +344,9 @@ PortValues eval_combinational(const ComponentSpec& spec,
         gg = gvec.bit(i) || (pvec.bit(i) && gg);
         gp = gp && pvec.bit(i);
       }
-      out["C"] = c;
-      out["GP"] = bool_vec(gp);
-      out["GG"] = bool_vec(gg);
+      out(v, kC) = std::move(c);
+      out(v, kGP) = bool_vec(gp);
+      out(v, kGG) = bool_vec(gg);
       break;
     }
     case Kind::kPort:
@@ -426,38 +354,180 @@ PortValues eval_combinational(const ComponentSpec& spec,
     case Kind::kClockDriver:
     case Kind::kSchmittTrigger:
     case Kind::kDelay:
-      out["OUT"] = get_in(spec, inputs, "IN");
+      out(v, kOUT) = in(v, kIN);
       break;
     case Kind::kTristate:
-      out["OUT"] = get_bit(spec, inputs, "OE") ? get_in(spec, inputs, "IN")
-                                               : BitVec(w);
+      out(v, kOUT) = bit(v, kOE) ? in(v, kIN) : BitVec(w);
       break;
     case Kind::kWiredOr:
     case Kind::kBus: {
       BitVec acc(w);
-      const int drivers = spec.size > 0 ? spec.size : 2;
-      for (int i = 0; i < drivers; ++i) {
-        acc = acc | get_in(spec, inputs, "I" + std::to_string(i));
-      }
-      out["OUT"] = acc;
+      for (int slot : fan_in_) acc = acc | v[slot];
+      out(v, kOUT) = std::move(acc);
       break;
     }
     case Kind::kConcat:
-      out["OUT"] = BitVec::concat(get_in(spec, inputs, "I0"),
-                                  get_in(spec, inputs, "I1"));
+      out(v, kOUT) = BitVec::concat(v[fan_in_[0]], v[fan_in_[1]]);
       break;
-    case Kind::kExtract: {
-      const BitVec in = get_in(spec, inputs, "IN");
-      out["OUT"] = in.slice(0, spec.size > 0 ? spec.size : 1);
+    case Kind::kExtract:
+      out(v, kOUT) = in(v, kIN).slice(0, spec_.size > 0 ? spec_.size : 1);
       break;
-    }
     case Kind::kClockGenerator:
-      out["CLK"] = BitVec(1);
+      out(v, kCLK) = BitVec(1);
       break;
     default:
-      throw Error("eval_combinational on sequential spec " + spec.key());
+      throw Error("eval_combinational on sequential spec " + spec_.key());
+  }
+}
+
+void Behavior::outputs(const SeqState& state, std::vector<BitVec>& v) const {
+  switch (spec_.kind) {
+    case Kind::kRegister:
+    case Kind::kFlipFlop:
+      out(v, kQ) = state.value;
+      break;
+    case Kind::kCounter:
+      out(v, kO0) = state.value;
+      break;
+    case Kind::kRegisterFile: {
+      const std::uint64_t ra = in(v, kRA).to_uint64();
+      out(v, kRD) = ra < state.words.size() ? state.words[ra]
+                                            : BitVec(spec_.width);
+      break;
+    }
+    case Kind::kMemory: {
+      const std::uint64_t addr = in(v, kADDR).to_uint64();
+      out(v, kDOUT) = addr < state.words.size() ? state.words[addr]
+                                                : BitVec(spec_.width);
+      break;
+    }
+    case Kind::kStack:
+    case Kind::kFifo: {
+      const int top = spec_.kind == Kind::kStack ? state.count - 1 : state.head;
+      out(v, kDOUT) = state.count > 0 ? state.words[top] : BitVec(spec_.width);
+      out(v, kEMPTY) = bool_vec(state.count == 0);
+      out(v, kFULL) =
+          bool_vec(state.count == static_cast<int>(state.words.size()));
+      break;
+    }
+    default:
+      throw Error("seq_outputs on combinational spec " + spec_.key());
+  }
+}
+
+void Behavior::step(SeqState& state, const std::vector<BitVec>& v) const {
+  switch (spec_.kind) {
+    case Kind::kRegister:
+    case Kind::kFlipFlop: {
+      if (spec_.async_set && bit(v, kASET)) {
+        state.value = BitVec::ones(spec_.width);
+        return;
+      }
+      if (spec_.async_reset && bit(v, kARST)) {
+        state.value = BitVec(spec_.width);
+        return;
+      }
+      const bool en = spec_.enable ? bit(v, kEN) : true;
+      if (en) state.value = in(v, kD);
+      break;
+    }
+    case Kind::kCounter: {
+      if (spec_.async_set && bit(v, kASET)) {
+        state.value = BitVec::ones(spec_.width);
+        return;
+      }
+      if (spec_.async_reset && bit(v, kARESET)) {
+        state.value = BitVec(spec_.width);
+        return;
+      }
+      const bool en = spec_.enable ? bit(v, kCEN) : true;
+      if (!en) return;
+      if (spec_.ops.contains(Op::kLoad) && bit(v, kCLOAD)) {
+        state.value = v[fan_in_[0]];
+      } else if (spec_.ops.contains(Op::kCountUp) && bit(v, kCUP)) {
+        state.value = state.value + BitVec(spec_.width, 1);
+      } else if (spec_.ops.contains(Op::kCountDown) && bit(v, kCDOWN)) {
+        state.value = state.value - BitVec(spec_.width, 1);
+      }
+      break;
+    }
+    case Kind::kRegisterFile: {
+      if (bit(v, kWE)) {
+        const std::uint64_t wa = in(v, kWA).to_uint64();
+        if (wa < state.words.size()) state.words[wa] = in(v, kWD);
+      }
+      break;
+    }
+    case Kind::kMemory: {
+      if (bit(v, kWE)) {
+        const std::uint64_t addr = in(v, kADDR).to_uint64();
+        if (addr < state.words.size()) state.words[addr] = in(v, kDIN);
+      }
+      break;
+    }
+    case Kind::kStack: {
+      const bool push = bit(v, kPUSH);
+      const bool pop = bit(v, kPOP);
+      if (push && state.count < static_cast<int>(state.words.size())) {
+        state.words[state.count++] = in(v, kDIN);
+      } else if (pop && state.count > 0) {
+        --state.count;
+      }
+      break;
+    }
+    case Kind::kFifo: {
+      const bool push = bit(v, kPUSH);
+      const bool pop = bit(v, kPOP);
+      const int n = static_cast<int>(state.words.size());
+      if (push && state.count < n) {
+        state.words[(state.head + state.count) % n] = in(v, kDIN);
+        ++state.count;
+      } else if (pop && state.count > 0) {
+        state.head = (state.head + 1) % n;
+        --state.count;
+      }
+      break;
+    }
+    default:
+      throw Error("seq_step on combinational spec " + spec_.key());
+  }
+}
+
+namespace {
+
+/// Name-keyed inputs as a port-indexed value vector: missing inputs are
+/// zero, mismatched widths are resized to the port width.
+std::vector<BitVec> port_values(const Behavior& b, const PortValues& inputs) {
+  std::vector<BitVec> v;
+  v.reserve(b.ports().size());
+  for (const PortSpec& p : b.ports()) {
+    auto it = p.dir == PortDir::kIn ? inputs.find(p.name) : inputs.end();
+    if (it == inputs.end()) {
+      v.emplace_back(p.width);
+    } else {
+      v.push_back(it->second.width() == p.width ? it->second
+                                                : it->second.zext(p.width));
+    }
+  }
+  return v;
+}
+
+PortValues output_values(const Behavior& b, const std::vector<BitVec>& v) {
+  PortValues out;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (b.ports()[i].dir == PortDir::kOut) out[b.ports()[i].name] = v[i];
   }
   return out;
+}
+
+}  // namespace
+
+PortValues eval_combinational(const ComponentSpec& spec,
+                              const PortValues& inputs) {
+  const Behavior b(spec);
+  std::vector<BitVec> v = port_values(b, inputs);
+  b.eval(v);
+  return output_values(b, v);
 }
 
 SeqState init_state(const ComponentSpec& spec) {
@@ -482,131 +552,16 @@ SeqState init_state(const ComponentSpec& spec) {
 
 PortValues seq_outputs(const ComponentSpec& spec, const SeqState& state,
                        const PortValues& inputs) {
-  PortValues out;
-  switch (spec.kind) {
-    case Kind::kRegister:
-    case Kind::kFlipFlop:
-      out["Q"] = state.value;
-      break;
-    case Kind::kCounter:
-      out["O0"] = state.value;
-      break;
-    case Kind::kRegisterFile: {
-      const std::uint64_t ra = get_in(spec, inputs, "RA").to_uint64();
-      out["RD"] = ra < state.words.size() ? state.words[ra]
-                                          : BitVec(spec.width);
-      break;
-    }
-    case Kind::kMemory: {
-      const std::uint64_t addr = get_in(spec, inputs, "ADDR").to_uint64();
-      out["DOUT"] = addr < state.words.size() ? state.words[addr]
-                                              : BitVec(spec.width);
-      break;
-    }
-    case Kind::kStack: {
-      out["DOUT"] = state.count > 0 ? state.words[state.count - 1]
-                                    : BitVec(spec.width);
-      out["EMPTY"] = bool_vec(state.count == 0);
-      out["FULL"] = bool_vec(state.count == static_cast<int>(state.words.size()));
-      break;
-    }
-    case Kind::kFifo: {
-      out["DOUT"] = state.count > 0 ? state.words[state.head]
-                                    : BitVec(spec.width);
-      out["EMPTY"] = bool_vec(state.count == 0);
-      out["FULL"] = bool_vec(state.count == static_cast<int>(state.words.size()));
-      break;
-    }
-    default:
-      throw Error("seq_outputs on combinational spec " + spec.key());
-  }
-  return out;
+  const Behavior b(spec);
+  std::vector<BitVec> v = port_values(b, inputs);
+  b.outputs(state, v);
+  return output_values(b, v);
 }
 
 void seq_step(const ComponentSpec& spec, SeqState& state,
               const PortValues& inputs) {
-  switch (spec.kind) {
-    case Kind::kRegister:
-    case Kind::kFlipFlop: {
-      if (spec.async_set && get_bit(spec, inputs, "ASET")) {
-        state.value = BitVec::ones(spec.width);
-        return;
-      }
-      if (spec.async_reset && get_bit(spec, inputs, "ARST")) {
-        state.value = BitVec(spec.width);
-        return;
-      }
-      const bool en = spec.enable ? get_bit(spec, inputs, "EN") : true;
-      if (en) state.value = get_in(spec, inputs, "D");
-      break;
-    }
-    case Kind::kCounter: {
-      if (spec.async_set && get_bit(spec, inputs, "ASET")) {
-        state.value = BitVec::ones(spec.width);
-        return;
-      }
-      if (spec.async_reset && get_bit(spec, inputs, "ARESET")) {
-        state.value = BitVec(spec.width);
-        return;
-      }
-      const bool en = spec.enable ? get_bit(spec, inputs, "CEN") : true;
-      if (!en) return;
-      if (spec.ops.contains(Op::kLoad) && get_bit(spec, inputs, "CLOAD")) {
-        state.value = get_in(spec, inputs, "I0");
-      } else if (spec.ops.contains(Op::kCountUp) &&
-                 get_bit(spec, inputs, "CUP")) {
-        state.value = state.value + BitVec(spec.width, 1);
-      } else if (spec.ops.contains(Op::kCountDown) &&
-                 get_bit(spec, inputs, "CDOWN")) {
-        state.value = state.value - BitVec(spec.width, 1);
-      }
-      break;
-    }
-    case Kind::kRegisterFile: {
-      if (get_bit(spec, inputs, "WE")) {
-        const std::uint64_t wa = get_in(spec, inputs, "WA").to_uint64();
-        if (wa < state.words.size()) {
-          state.words[wa] = get_in(spec, inputs, "WD");
-        }
-      }
-      break;
-    }
-    case Kind::kMemory: {
-      if (get_bit(spec, inputs, "WE")) {
-        const std::uint64_t addr = get_in(spec, inputs, "ADDR").to_uint64();
-        if (addr < state.words.size()) {
-          state.words[addr] = get_in(spec, inputs, "DIN");
-        }
-      }
-      break;
-    }
-    case Kind::kStack: {
-      const bool push = get_bit(spec, inputs, "PUSH");
-      const bool pop = get_bit(spec, inputs, "POP");
-      if (push && state.count < static_cast<int>(state.words.size())) {
-        state.words[state.count++] = get_in(spec, inputs, "DIN");
-      } else if (pop && state.count > 0) {
-        --state.count;
-      }
-      break;
-    }
-    case Kind::kFifo: {
-      const bool push = get_bit(spec, inputs, "PUSH");
-      const bool pop = get_bit(spec, inputs, "POP");
-      const int n = static_cast<int>(state.words.size());
-      if (push && state.count < n) {
-        state.words[(state.head + state.count) % n] =
-            get_in(spec, inputs, "DIN");
-        ++state.count;
-      } else if (pop && state.count > 0) {
-        state.head = (state.head + 1) % n;
-        --state.count;
-      }
-      break;
-    }
-    default:
-      throw Error("seq_step on combinational spec " + spec.key());
-  }
+  const Behavior b(spec);
+  b.step(state, port_values(b, inputs));
 }
 
 }  // namespace bridge::sim

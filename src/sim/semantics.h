@@ -30,8 +30,11 @@
 //    sampled at the clock edge with priority set > reset > enable.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/bitvec.h"
@@ -41,11 +44,6 @@ namespace bridge::sim {
 
 using PortValues = std::map<std::string, BitVec>;
 
-/// Evaluate a combinational specification. Missing input entries default
-/// to zero. Returns values for every output port.
-PortValues eval_combinational(const genus::ComponentSpec& spec,
-                              const PortValues& inputs);
-
 /// State carried by a sequential instance between clock edges.
 struct SeqState {
   BitVec value{1};             // register / counter contents
@@ -53,6 +51,64 @@ struct SeqState {
   int count = 0;               // stack depth or fifo occupancy
   int head = 0;                // fifo read index
 };
+
+/// The semantics of one specification, resolved once for repeated
+/// evaluation: its port list, its F-select op vector and the slot of every
+/// port the kind reads or writes are looked up in the constructor, so the
+/// entry points below do no string or symbol lookups.
+///
+/// Values are port-indexed: slot i of a value vector holds the value of
+/// ports()[i] (= spec_ports(spec)[i]) at that port's width. The entry points
+/// read input slots and write output slots; clock inputs are never read.
+class Behavior {
+ public:
+  explicit Behavior(const genus::ComponentSpec& spec);
+
+  const genus::ComponentSpec& spec() const { return spec_; }
+  const std::vector<genus::PortSpec>& ports() const { return *ports_; }
+
+  /// Combinational outputs from inputs. Throws on sequential specs.
+  void eval(std::vector<BitVec>& v) const;
+  /// Sequential outputs from state (and, for read ports, address inputs).
+  void outputs(const SeqState& state, std::vector<BitVec>& v) const;
+  /// Advance state across one rising clock edge.
+  void step(SeqState& state, const std::vector<BitVec>& v) const;
+
+ private:
+  /// Named ports the per-kind implementations use.
+  enum Pin : std::uint8_t {
+    kA, kB, kC, kCI, kCO, kD, kF, kG, kP, kQ, kR, kS, kGG, kGP, kIN, kEN,
+    kOE, kO0, kOUT, kSEL, kAMT, kMODE, kASET, kARST, kARESET, kCEN, kCLOAD,
+    kCUP, kCDOWN, kWE, kWA, kWD, kRA, kRD, kADDR, kDIN, kDOUT, kPUSH, kPOP,
+    kEMPTY, kFULL, kCLK, kPinCount
+  };
+  static const std::array<base::Symbol, kPinCount>& pin_names();
+
+  const BitVec& in(const std::vector<BitVec>& v, Pin p) const {
+    return v[pin_[p]];
+  }
+  bool bit(const std::vector<BitVec>& v, Pin p) const {
+    return v[pin_[p]].bit(0);
+  }
+  BitVec& out(std::vector<BitVec>& v, Pin p) const { return v[pin_[p]]; }
+  genus::Op selected_op(const std::vector<BitVec>& v) const;
+  void eval_alu(std::vector<BitVec>& v) const;
+
+  genus::ComponentSpec spec_;
+  const std::vector<genus::PortSpec>* ports_;
+  std::vector<genus::Op> ops_;           // F-select coding (OpSet order)
+  std::array<int, kPinCount> pin_;       // slot of each named port, or -1
+  std::vector<int> fan_in_;              // slots of I0, I1, ...
+  std::vector<std::pair<genus::Op, int>> status_;  // predicate -> slot
+};
+
+// Name-keyed adapters over Behavior (one-off evaluations and tests).
+
+/// Evaluate a combinational specification. Missing input entries default
+/// to zero; mismatched widths are zero-extended or truncated (tie-offs
+/// provide 64-bit constants). Returns values for every output port.
+PortValues eval_combinational(const genus::ComponentSpec& spec,
+                              const PortValues& inputs);
 
 /// Initial (all-zero) state for a sequential spec.
 SeqState init_state(const genus::ComponentSpec& spec);

@@ -1,16 +1,30 @@
-// Hierarchical netlist simulation.
+// Hierarchical netlist simulation, compiled once per netlist.
 //
-// The Simulator flattens a hierarchical netlist (e.g. a DTAS alternative
-// implementation) to leaf instances over a global bit store, computes a
-// topological evaluation order for the combinational logic, and simulates
-// cycle by cycle. Sequential leaves (flip-flops, registers, counters) hold
-// SeqState and update on step().
+// The constructor flattens a hierarchical netlist (e.g. a DTAS alternative
+// implementation) to leaf instances and compiles it to a flat program:
+//   * every flattened net gets a contiguous range in one packed bit store
+//     (a BitVec; top-level ports first, in declaration order);
+//   * every leaf port binding becomes a short list of (store offset, port
+//     offset, length) runs, replicated-bit runs included, so gather and
+//     scatter copy up to 64 bits at a time with shifts and masks;
+//     constant tie-offs are written into the leaf's input buffer once;
+//   * every leaf keeps a preallocated, port-indexed value buffer and its
+//     sim::Behavior (port list, F-select ops and port slots resolved), so
+//     eval() allocates no buffers and does no name lookups;
+//   * the combinational schedule is topological over leaves: a multi-output
+//     leaf is evaluated once per pass, and is split into one unit per
+//     output port only where a structural false path needs it (look-ahead
+//     GP/GG vs CI) or where it feeds its own inputs.
+// Sequential leaves (flip-flops, registers, counters) hold SeqState and
+// update on step(). eval() is lazy: it runs only when an input or a state
+// has changed since the last one, and get() brings values up to date.
 //
 // This is the workhorse of the equivalence test suite: for every mapped
 // netlist, Simulator(mapped) must agree with eval_combinational /
 // seq_outputs of the generic component across random stimulus.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,58 +37,96 @@ namespace bridge::sim {
 
 class Simulator {
  public:
-  /// Flatten `top` and build the evaluation schedule. Throws Error on
+  /// Flatten `top` and compile the evaluation program. Throws Error on
   /// combinational cycles or malformed connectivity.
   explicit Simulator(const netlist::Module& top);
 
+  /// A resolved top-level port: its range in the bit store. Resolve once
+  /// with port(), then set and read it without name lookups.
+  struct Port {
+    int lo = 0;
+    int width = 0;
+    bool input = false;
+  };
+  /// Throws Error if `name` is not a top-level port.
+  Port port(const std::string& name) const;
+
   /// Set a top-level input port value (width must match).
   void set_input(const std::string& port, const BitVec& value);
+  void set_input(Port port, const BitVec& value);
+  /// Set a top-level input port to `value` mod 2^width.
+  void set_input(Port port, std::uint64_t value);
 
-  /// Propagate combinational logic from current inputs and state.
+  /// Propagate combinational logic from current inputs and state (a no-op
+  /// when nothing changed since the last propagation).
   void eval();
 
-  /// One rising clock edge: capture next state from current values, update
-  /// every sequential leaf simultaneously, then re-propagate.
+  /// One rising clock edge: capture next state from current values and
+  /// update every sequential leaf simultaneously. The next eval() or get()
+  /// re-propagates.
   void step();
 
-  /// Read a top-level output (or input) port after eval().
-  BitVec get(const std::string& port) const;
+  /// Read a top-level output (or input) port; runs a pending eval() first.
+  BitVec get(const std::string& port);
+  BitVec get(Port port);
+  /// Low 64 bits of a top-level port; runs a pending eval() first.
+  std::uint64_t get_uint(Port port);
 
   int num_leaves() const { return static_cast<int>(leaves_.size()); }
 
  private:
+  /// A flattening-time bit reference (resolved into runs afterwards).
   struct BitRef {
-    int index = -1;           // global bit index; -1 means unassigned/const
+    int index = -1;           // store bit; -1 means open or constant
     bool const_value = false;
     bool is_const = false;    // true: a tie-off, must never be reallocated
   };
-  /// A flattened leaf instance: spec plus per-port bit bindings.
+  using PortMap = std::map<std::string, std::vector<BitRef>>;
+  /// `len` bits between the store at `store` and a port value at `port`.
+  /// A replicated run reads one store bit into every port bit.
+  struct Run {
+    int store = 0;
+    int port = 0;
+    int len = 0;
+    bool replicate = false;
+  };
+  struct Binding {
+    int slot = 0;  // port index in the leaf's Behavior::ports()
+    std::vector<Run> runs;
+  };
+  /// A flattened leaf instance: behavior, state, value buffer, bindings.
   struct Leaf {
-    genus::ComponentSpec spec;
+    Behavior behavior;
     std::string path;
     bool sequential = false;
     SeqState state;
-    std::map<std::string, std::vector<BitRef>> in_bits;
-    std::map<std::string, std::vector<BitRef>> out_bits;
+    std::vector<BitVec> values;     // port-indexed, preallocated
+    std::vector<Binding> inputs;    // gathered before every evaluation
+    std::vector<Binding> outputs;   // scattered after it
+  };
+  /// One schedule entry: a whole leaf (output < 0) or one output binding.
+  struct Unit {
+    int leaf = 0;
+    int output = -1;
   };
 
   void flatten(const netlist::Module& m, const std::string& path,
-               const std::map<std::string, std::vector<BitRef>>& port_map);
+               const PortMap& port_map);
+  void add_leaf(const netlist::Instance& inst, const std::string& path,
+                const std::vector<std::vector<BitRef>>& port_refs);
   void schedule();
-  PortValues gather(const Leaf& leaf) const;
-  void scatter(const Leaf& leaf, const PortValues& outputs);
-  void scatter_port(const Leaf& leaf, const std::string& port,
-                    const PortValues& outputs);
+  void propagate();
+  void gather(Leaf& leaf);
+  void scatter(const Leaf& leaf, const Binding& out);
 
-  std::vector<char> bits_;   // global bit store (char: vector<bool> is slow)
+  int num_bits_ = 0;  // store bits allocated while flattening
+  BitVec store_;
   std::vector<Leaf> leaves_;
-  /// Topological schedule: (leaf index, output port). Per-output-port
-  /// scheduling keeps false paths (e.g. look-ahead GP/GG vs CI) acyclic.
-  std::vector<std::pair<int, std::string>> comb_order_;
+  std::vector<Unit> comb_order_;
   std::vector<int> seq_leaves_;
-  std::map<std::string, std::vector<BitRef>> top_ports_;
-  std::map<std::string, int> top_port_width_;
-  std::map<std::string, bool> top_port_is_input_;
+  bool any_addressed_ = false;  // register files / memories / stacks / fifos
+  bool dirty_ = true;
+  std::map<std::string, Port, std::less<>> top_ports_;
 };
 
 /// Convenience: simulate a purely combinational module once.
