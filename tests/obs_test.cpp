@@ -9,8 +9,9 @@
 // integration contract: tracing on vs off changes no synthesis output
 // byte at any thread count, registry deltas reconcile with SpaceStats,
 // per-space TemplateCache deltas sum to the global snapshot diff even
-// when spaces interleave, and Synthesizer::last_profile() reports the
-// call it just finished.
+// when spaces interleave, Synthesizer::last_profile() reports the call it
+// just finished, and the co-simulation and control-compiler layers emit
+// their spans when tracing is on and nothing when it is off.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,9 +23,12 @@
 #include <vector>
 
 #include "cells/cell.h"
+#include "ctrl/control_compiler.h"
 #include "dtas/design_space.h"
 #include "dtas/synthesizer.h"
 #include "genus/spec.h"
+#include "hls/ast.h"
+#include "hls/fsmd.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -193,6 +197,47 @@ TEST(TraceTest, TracerWritesLoadableChromeJson) {
   EXPECT_EQ(obs::Tracer::global().event_count(), 0u);
   { obs::Span span("after.stop", "test"); }
   EXPECT_EQ(obs::Tracer::global().event_count(), 0u);
+}
+
+/// The Figure-1 front half on a small gcd: HLS, co-simulation, control
+/// compilation.
+void run_gcd_flow() {
+  const auto fsmd = hls::synthesize_behavior(hls::parse_behavior(R"(
+design gcd;
+input a : 8; input b : 8; output r : 8; var x : 8; var y : 8;
+begin
+  x = a; y = b;
+  while (x != y) { if (x > y) { x = x - y; } else { y = y - x; } }
+  r = x;
+end)"));
+  const auto run =
+      hls::run_fsmd(fsmd, {{"a", BitVec(8, 12)}, {"b", BitVec(8, 18)}});
+  EXPECT_TRUE(run.halted);
+  EXPECT_EQ(run.outputs.at("r").to_uint64(), 6u);
+  EXPECT_GT(ctrl::compile_control(fsmd.control).implicant_count, 0);
+}
+
+TEST(TraceTest, CosimAndControlCompilerAreSpanned) {
+  const std::string path = "obs_test_flow_trace.json";
+  obs::Tracer::global().start(path);
+  run_gcd_flow();
+  ASSERT_EQ(obs::Tracer::global().stop(), path);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string text = ss.str();
+  std::remove(path.c_str());
+  EXPECT_NE(text.find("{\"name\": \"cosim\", \"cat\": \"sim\""),
+            std::string::npos);
+  EXPECT_NE(text.find("{\"name\": \"compile\", \"cat\": \"ctrl\""),
+            std::string::npos);
+
+  // Tracing off: the same flow records nothing.
+  ASSERT_FALSE(obs::Tracer::enabled());
+  const std::size_t events_before = obs::Tracer::global().event_count();
+  run_gcd_flow();
+  EXPECT_EQ(obs::Tracer::global().event_count(), events_before);
 }
 
 /// Everything the acceptance criterion compares byte-for-byte.

@@ -111,6 +111,17 @@ EFFECTIVENESS_GATED = {
 LINT_ENTRY = "fig3_alu64/lint_phase"
 LINT_MAX_PCT_OF_EXTRACT = 5.0
 
+# Co-simulation budget (bench_fig1_pipeline -> fig1/cosim): hls::run_fsmd
+# on gcd(84, 36), simulator build included, in microseconds per simulated
+# cycle. The only absolute latency ceiling here: the compiled simulator
+# measured 2.0-3.6 us/cycle on a 4-core x86 container, Release build (the
+# interpretive simulator it replaced took 33-49 us/cycle on the same
+# machine), so the ceiling leaves ~4x headroom for a slower runner and
+# still fails a fall back to the per-bit path. The co-simulated gcd must
+# also be right (outputs_match == 1).
+COSIM_ENTRY = "fig1/cosim"
+COSIM_MAX_US_PER_CYCLE = 15.0
+
 # Server-throughput floors (bench_server_throughput -> BENCH_server.json,
 # checked via --server). Absolute and within-run, like the cache floors:
 # `warm_cold_speedup` compares warm sessions against one-shot cold
@@ -269,6 +280,27 @@ def check_lint_phase(fresh, failures):
                         "verify_designs on vs off")
 
 
+def check_cosim(fresh, failures):
+    """Hold the co-simulation layer to its absolute per-cycle ceiling."""
+    e = fresh.get(COSIM_ENTRY)
+    if e is None:
+        failures.append(f"{COSIM_ENTRY}: gated entry missing from fresh run")
+        return
+    us = e.get("us_per_cycle")
+    if us is None or e.get("cycles", 0) < 1:
+        failures.append(f"{COSIM_ENTRY}: us_per_cycle or cycles missing")
+    elif us > COSIM_MAX_US_PER_CYCLE:
+        failures.append(
+            f"{COSIM_ENTRY}: {us:.2f} us per simulated cycle exceeds the "
+            f"{COSIM_MAX_US_PER_CYCLE:.0f} us ceiling")
+    else:
+        print(f"{COSIM_ENTRY}: {us:.2f} us/cycle over {e['cycles']:.0f} "
+              f"cycles (ceiling {COSIM_MAX_US_PER_CYCLE:.0f} us) ok")
+    if e.get("outputs_match") != 1:
+        failures.append(f"{COSIM_ENTRY}: co-simulated gcd outputs differ "
+                        "from the expected result")
+
+
 def check_server(path, failures):
     """Hold the server-throughput entries to their absolute floors."""
     entries = load_entries(path)
@@ -354,6 +386,7 @@ def main():
     check_node_parallel(fresh, failures)
     check_effectiveness(fresh, failures)
     check_lint_phase(fresh, failures)
+    check_cosim(fresh, failures)
     if args.server:
         check_server(args.server, failures)
 
