@@ -581,6 +581,9 @@ FsmdRun run_fsmd(const Fsmd& fsmd, const std::map<std::string, BitVec>& inputs,
   std::vector<sim::Simulator::Port> controls;
   for (const auto& [signal, width] : table.control_signals) {
     controls.push_back(simulator.port(signal));
+    BRIDGE_CHECK(controls.back().input && controls.back().width == width,
+                 "control signal '" << signal << "' does not match a "
+                                    << width << "-bit datapath input");
   }
   std::map<std::string, int> row_of;
   for (size_t i = 0; i < table.rows.size(); ++i) {

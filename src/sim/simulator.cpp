@@ -132,6 +132,7 @@ void Simulator::add_leaf(const Instance& inst, const std::string& path,
   Leaf leaf{Behavior(inst.spec), path + "/" + inst.name, sequential,
             sequential ? init_state(inst.spec) : SeqState{}, {}, {}, {}};
   const auto& ports = leaf.behavior.ports();
+  leaf.values.reserve(ports.size());
   for (const PortSpec& p : ports) leaf.values.emplace_back(p.width);
   for (int slot = 0; slot < static_cast<int>(ports.size()); ++slot) {
     const PortSpec& p = ports[slot];
@@ -282,12 +283,6 @@ void Simulator::set_input(const std::string& name, const BitVec& value) {
   BRIDGE_CHECK(p.input, "'" << name << "' is an output");
   BRIDGE_CHECK(value.width() == p.width,
                "width mismatch on input '" << name << "'");
-  set_input(p, value);
-}
-
-void Simulator::set_input(Port p, const BitVec& value) {
-  BRIDGE_CHECK(p.input && value.width() == p.width,
-               "set_input needs an input port of the value's width");
   copy_bits(store_, p.lo, value, 0, p.width);
   dirty_ = true;
 }
@@ -364,9 +359,8 @@ void Simulator::step() {
   dirty_ = true;
 }
 
-BitVec Simulator::get(const std::string& name) { return get(port(name)); }
-
-BitVec Simulator::get(Port p) {
+BitVec Simulator::get(const std::string& name) {
+  const Port p = port(name);
   eval();
   BitVec v(p.width);
   copy_bits(v, 0, store_, p.lo, p.width);

@@ -53,7 +53,6 @@ class Simulator {
 
   /// Set a top-level input port value (width must match).
   void set_input(const std::string& port, const BitVec& value);
-  void set_input(Port port, const BitVec& value);
   /// Set a top-level input port to `value` mod 2^width.
   void set_input(Port port, std::uint64_t value);
 
@@ -68,7 +67,6 @@ class Simulator {
 
   /// Read a top-level output (or input) port; runs a pending eval() first.
   BitVec get(const std::string& port);
-  BitVec get(Port port);
   /// Low 64 bits of a top-level port; runs a pending eval() first.
   std::uint64_t get_uint(Port port);
 
