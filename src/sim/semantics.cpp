@@ -123,13 +123,13 @@ BitVec shift_value(Op op, const BitVec& in, int amount) {
 }  // namespace
 
 const std::array<base::Symbol, Behavior::kPinCount>& Behavior::pin_names() {
+  // In Pin order.
   static const std::array<base::Symbol, kPinCount> names = {
-      "A",     "B",     "C",    "CI",     "CO",   "D",     "F",    "G",
-      "P",     "Q",     "R",    "S",      "GG",   "GP",    "IN",   "EN",
-      "OE",    "O0",    "OUT",  "SEL",    "AMT",  "MODE",  "ASET", "ARST",
-      "ARESET", "CEN",  "CLOAD", "CUP",   "CDOWN", "WE",   "WA",   "WD",
-      "RA",    "RD",    "ADDR", "DIN",    "DOUT", "PUSH",  "POP",  "EMPTY",
-      "FULL",  "CLK"};
+      "A",    "B",   "C",     "CI",   "CO",    "D",   "F",    "G",    "P",
+      "Q",    "R",   "S",     "GG",   "GP",    "IN",  "EN",   "OE",   "O0",
+      "OUT",  "SEL", "AMT",   "MODE", "ASET",  "ARST", "ARESET", "CEN",
+      "CLOAD", "CUP", "CDOWN", "WE",  "WA",    "WD",  "RA",   "RD",   "ADDR",
+      "DIN",  "DOUT", "PUSH", "POP",  "EMPTY", "FULL", "CLK"};
   return names;
 }
 
