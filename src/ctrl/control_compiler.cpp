@@ -62,20 +62,16 @@ ControllerResult compile_control(const StateTable& table) {
   };
 
   // Output functions: next-state bits, then every control signal bit.
-  struct OutputFn {
-    std::string port;   // controller output port (or "" for next-state)
-    int port_bit = 0;
-    std::vector<std::uint32_t> on_set;
-  };
-  std::vector<OutputFn> functions;
+  std::vector<ControlFunction>& functions = result.functions;
   for (int b = 0; b < sbits; ++b) {
-    functions.push_back(OutputFn{"", b, {}});
+    functions.push_back(ControlFunction{"", b, {}});
   }
   for (const auto& [signal, width] : table.control_signals) {
     for (int b = 0; b < width; ++b) {
-      functions.push_back(OutputFn{signal, b, {}});
+      functions.push_back(ControlFunction{signal, b, {}});
     }
   }
+  std::vector<std::vector<std::uint32_t>> on_sets(functions.size());
 
   // Enumerate the reachable input space.
   std::vector<std::uint32_t> dc_set;  // unused state codes: don't care
@@ -112,7 +108,7 @@ ControllerResult compile_control(const StateTable& table) {
                    "state " << row->name << " has no default transition");
       const std::uint32_t next_code = result.state_codes.at(next);
       for (int b = 0; b < sbits; ++b) {
-        if ((next_code >> b) & 1) functions[b].on_set.push_back(input);
+        if ((next_code >> b) & 1) on_sets[b].push_back(input);
       }
       // Moore control outputs.
       int fn = sbits;
@@ -120,7 +116,7 @@ ControllerResult compile_control(const StateTable& table) {
         auto it = row->asserts.find(signal);
         const std::uint64_t value = it == row->asserts.end() ? 0 : it->second;
         for (int b = 0; b < width; ++b, ++fn) {
-          if ((value >> b) & 1) functions[fn].on_set.push_back(input);
+          if ((value >> b) & 1) on_sets[fn].push_back(input);
         }
       }
     }
@@ -128,12 +124,10 @@ ControllerResult compile_control(const StateTable& table) {
   result.minterm_count = minterms;
 
   // Minimize every output.
-  std::vector<std::vector<Implicant>> sops;
-  sops.reserve(functions.size());
-  for (const OutputFn& fn : functions) {
-    sops.push_back(minimize(nvars, fn.on_set, dc_set));
-    result.implicant_count += static_cast<int>(sops.back().size());
-    for (const Implicant& imp : sops.back()) {
+  for (size_t fn = 0; fn < functions.size(); ++fn) {
+    functions[fn].sop = minimize(nvars, on_sets[fn], dc_set);
+    result.implicant_count += static_cast<int>(functions[fn].sop.size());
+    for (const Implicant& imp : functions[fn].sop) {
       result.literal_count += imp.literals(nvars);
     }
   }
@@ -239,12 +233,11 @@ ControllerResult compile_control(const StateTable& table) {
     m.connect(g, "OUT", dst, dst_bit);
   };
 
-  for (size_t fn = 0; fn < functions.size(); ++fn) {
-    if (functions[fn].port.empty()) {
-      build_sop(sops[fn], state_d, functions[fn].port_bit);
+  for (const ControlFunction& fn : functions) {
+    if (fn.port.empty()) {
+      build_sop(fn.sop, state_d, fn.bit);
     } else {
-      build_sop(sops[fn], out_ports.at(functions[fn].port),
-                functions[fn].port_bit);
+      build_sop(fn.sop, out_ports.at(fn.port), fn.bit);
     }
   }
   return result;

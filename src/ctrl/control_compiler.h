@@ -13,6 +13,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "ctrl/qm.h"
 #include "hls/statetable.h"
@@ -20,10 +21,20 @@
 
 namespace bridge::ctrl {
 
+/// One minimized output function of the controller: bit `bit` of control
+/// port `port`, or of the next-state vector when `port` is empty.
+struct ControlFunction {
+  std::string port;
+  int bit = 0;
+  std::vector<Implicant> sop;
+};
+
 struct ControllerResult {
   netlist::Design design;  // top() is the controller module
   int state_bits = 0;
   std::map<std::string, std::uint32_t> state_codes;
+  /// Next-state bits first, then every control-signal bit in table order.
+  std::vector<ControlFunction> functions;
   int implicant_count = 0;  // after minimization
   int literal_count = 0;
   int minterm_count = 0;    // before minimization (raw on-set size)
