@@ -11,8 +11,14 @@
 // cycle and whether the outputs matched, into BENCH_synthesis.json
 // (tools/check_bench_regression.py holds it to a ceiling). It exits
 // nonzero when the co-simulated gcd is wrong.
+//
+// The control compiler gets one too: a "fig1/ctrl" entry with the
+// microseconds per compile_control on the gcd's state table and on one
+// seeded 8-variable table (3 status inputs, 20 states), each with its
+// implicant_count.
 #include <cstdio>
 #include <numeric>
+#include <random>
 
 #include "bench_json.h"
 #include "cells/cell.h"
@@ -22,6 +28,56 @@
 #include "vhdl/vhdl.h"
 
 using namespace bridge;
+
+namespace {
+
+/// A seeded controller-shaped state table: 20 states (5 state bits) and 3
+/// status inputs, so the control compiler minimizes over 8 variables.
+/// Each state asserts random values on HLS-like control signals and takes
+/// up to two status-dependent transitions before its default one.
+hls::StateTable seeded_table() {
+  std::mt19937_64 rng(8);
+  auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  auto state = [](int s) { return "S" + std::to_string(s); };
+  constexpr int kStates = 20;
+  hls::StateTable t;
+  t.status_inputs = {"EQ", "GT", "LT"};
+  t.control_signals = {{"amux_sel", 2}, {"bmux_sel", 2}, {"alu_f", 3},
+                       {"alu_ci", 1},   {"en_x", 1},     {"en_y", 1},
+                       {"en_i", 1},     {"en_acc", 1},   {"rsel", 1}};
+  for (int s = 0; s < kStates; ++s) {
+    hls::StateRow row;
+    row.name = state(s);
+    for (const auto& [signal, width] : t.control_signals) {
+      if (pick(2) == 0) continue;
+      row.asserts[signal] = rng() & ((std::uint64_t{1} << width) - 1);
+    }
+    for (int k = pick(3); k > 0; --k) {
+      row.transitions.push_back(
+          {t.status_inputs[static_cast<std::size_t>(pick(3))], pick(2) == 0,
+           state(pick(kStates))});
+    }
+    row.transitions.push_back({"", false, state((s + 1) % kStates)});
+    t.rows.push_back(row);
+  }
+  t.initial = state(0);
+  return t;
+}
+
+/// Microseconds per compile_control on `table`: the median of five
+/// batches of `runs` calls.
+double compile_us(const hls::StateTable& table, int runs) {
+  const double ms = benchjson::time_ms(
+      [&] {
+        for (int i = 0; i < runs; ++i) ctrl::compile_control(table);
+      },
+      5);
+  return ms * 1000.0 / runs;
+}
+
+}  // namespace
 
 int main() {
   const char* text = R"(
@@ -70,13 +126,28 @@ end
   cosim.num("cycles", run.cycles)
       .num("us_per_cycle", us_per_cycle)
       .num("outputs_match", outputs_match ? 1 : 0);
-  benchjson::write({cosim});
 
   auto ctl = ctrl::compile_control(fsmd.control);
   std::printf("[CTRL] controller: %d state bits, %d minterms -> %d "
               "implicants (%d literals), %zu gate instances\n",
               ctl.state_bits, ctl.minterm_count, ctl.implicant_count,
               ctl.literal_count, ctl.design.top()->instances().size());
+  const hls::StateTable table = seeded_table();
+  const auto seeded = ctrl::compile_control(table);
+  const double gcd_us = compile_us(fsmd.control, 200);
+  const double seeded_us = compile_us(table, 20);
+  std::printf("[CTRL] compile_control: %.1f us on the gcd table, %.1f us on "
+              "a seeded %d-variable table (%d implicants)\n",
+              gcd_us, seeded_us,
+              seeded.state_bits + static_cast<int>(table.status_inputs.size()),
+              seeded.implicant_count);
+  benchjson::Entry ctrl_entry;
+  ctrl_entry.name = "fig1/ctrl";
+  ctrl_entry.num("gcd_us", gcd_us)
+      .num("gcd_implicant_count", ctl.implicant_count)
+      .num("seeded_us", seeded_us)
+      .num("seeded_implicant_count", seeded.implicant_count);
+  benchjson::write({cosim, ctrl_entry});
 
   // DTAS maps the datapath netlist (uniform choice per spec across it).
   dtas::Synthesizer synth(cells::lsi_library());

@@ -40,6 +40,13 @@ ControllerResult compile_control(const StateTable& table) {
   const int nvars = sbits + nstatus;
   BRIDGE_CHECK(nvars <= 20, "controller input space too large for QM");
 
+  for (const auto& [signal, width] : table.control_signals) {
+    BRIDGE_CHECK(width >= 1 && width <= 64,
+                 "control signal '" << signal << "' is " << width
+                                    << " bits wide; the control compiler "
+                                       "supports 1 to 64");
+  }
+
   ControllerResult result;
   result.design = netlist::Design("controller");
   result.state_bits = sbits;
@@ -50,6 +57,8 @@ ControllerResult compile_control(const StateTable& table) {
     if (r.name == table.initial) ordered.insert(ordered.begin(), &r);
     else ordered.push_back(&r);
   }
+  BRIDGE_CHECK(ordered.front()->name == table.initial,
+               "initial state '" << table.initial << "' names no row");
   for (size_t i = 0; i < ordered.size(); ++i) {
     result.state_codes[ordered[i]->name] =
         static_cast<std::uint32_t>(i);
@@ -80,43 +89,58 @@ ControllerResult compile_control(const StateTable& table) {
       dc_set.push_back(input_of(code, status));
     }
   }
+  // A transition resolved to its status bit (-1 for the default edge) and
+  // its successor's code.
+  struct Edge {
+    int bit;
+    bool negate;
+    std::uint32_t next;
+  };
+  std::vector<Edge> edges;
+  std::vector<std::uint64_t> values;  // the row's control-signal values
   int minterms = 0;
   for (const StateRow* row : ordered) {
     const std::uint32_t code = result.state_codes.at(row->name);
-    for (std::uint32_t status = 0; status < (1u << nstatus); ++status) {
-      const std::uint32_t input = input_of(code, status);
-      ++minterms;
-      // Next state: first matching transition.
-      std::string next;
-      for (const Transition& t : row->transitions) {
-        if (t.status.empty()) {
-          next = t.next;
-          break;
-        }
+    edges.clear();
+    for (const Transition& t : row->transitions) {
+      const auto next_it = result.state_codes.find(t.next);
+      BRIDGE_CHECK(next_it != result.state_codes.end(),
+                   "state " << row->name << " transitions to unknown state '"
+                            << t.next << "'");
+      int bit = -1;
+      if (!t.status.empty()) {
         auto it = std::find(table.status_inputs.begin(),
                             table.status_inputs.end(), t.status);
         BRIDGE_CHECK(it != table.status_inputs.end(),
                      "unknown status '" << t.status << "'");
-        const int bit = static_cast<int>(it - table.status_inputs.begin());
-        const bool v = ((status >> bit) & 1) != 0;
-        if (v != t.negate) {
-          next = t.next;
-          break;
-        }
+        bit = static_cast<int>(it - table.status_inputs.begin());
       }
-      BRIDGE_CHECK(!next.empty(),
+      edges.push_back(Edge{bit, t.negate, next_it->second});
+    }
+    values.clear();
+    for (const auto& [signal, width] : table.control_signals) {
+      auto it = row->asserts.find(signal);
+      values.push_back(it == row->asserts.end() ? 0 : it->second);
+    }
+    for (std::uint32_t status = 0; status < (1u << nstatus); ++status) {
+      const std::uint32_t input = input_of(code, status);
+      ++minterms;
+      // Next state: first matching transition.
+      const auto edge =
+          std::find_if(edges.begin(), edges.end(), [status](const Edge& e) {
+            return e.bit < 0 || (((status >> e.bit) & 1) != 0) != e.negate;
+          });
+      BRIDGE_CHECK(edge != edges.end(),
                    "state " << row->name << " has no default transition");
-      const std::uint32_t next_code = result.state_codes.at(next);
       for (int b = 0; b < sbits; ++b) {
-        if ((next_code >> b) & 1) on_sets[b].push_back(input);
+        if ((edge->next >> b) & 1) on_sets[b].push_back(input);
       }
       // Moore control outputs.
       int fn = sbits;
-      for (const auto& [signal, width] : table.control_signals) {
-        auto it = row->asserts.find(signal);
-        const std::uint64_t value = it == row->asserts.end() ? 0 : it->second;
+      for (size_t k = 0; k < values.size(); ++k) {
+        const int width = table.control_signals[k].second;
         for (int b = 0; b < width; ++b, ++fn) {
-          if ((value >> b) & 1) on_sets[fn].push_back(input);
+          if ((values[k] >> b) & 1) on_sets[fn].push_back(input);
         }
       }
     }
@@ -156,6 +180,30 @@ ControllerResult compile_control(const StateTable& table) {
   m.connect(sreg, "ARST", arst);
   m.connect(sreg, "Q", state_q);
 
+  // Gates are 1 bit wide, so a gate's spec and reference name depend only
+  // on its function and fan-in: build each pair once, and intern the input
+  // port names once.
+  std::map<std::pair<Op, int>, std::pair<ComponentSpec, std::string>> gates;
+  auto add_gate = [&](std::string name, Op fn, int fanin) -> Instance& {
+    auto it = gates.find({fn, fanin});
+    if (it == gates.end()) {
+      ComponentSpec spec = genus::make_gate_spec(fn, 1, fanin);
+      std::string ref = spec.key();
+      it = gates.emplace(std::pair{fn, fanin},
+                         std::pair{std::move(spec), std::move(ref)})
+               .first;
+    }
+    return m.add_spec_instance(name, it->second.first, it->second.second);
+  };
+  std::vector<base::Symbol> in_ports;
+  auto in_port = [&in_ports](std::size_t i) {
+    while (in_ports.size() <= i) {
+      in_ports.emplace_back("I" + std::to_string(in_ports.size()));
+    }
+    return in_ports[i];
+  };
+  const base::Symbol out_port("OUT");
+
   // Input literals: (net, bit) for each variable and its complement.
   int fresh = 0;
   auto var_pick = [&](int v) -> std::pair<NetIndex, int> {
@@ -167,11 +215,10 @@ ControllerResult compile_control(const StateTable& table) {
     auto it = inverted.find(v);
     if (it == inverted.end()) {
       auto [net, bit] = var_pick(v);
-      Instance& g = m.add_spec_instance(
-          "inv" + std::to_string(fresh++), genus::make_gate_spec(Op::kLnot, 1));
-      m.connect(g, "I0", net, bit);
+      Instance& g = add_gate("inv" + std::to_string(fresh++), Op::kLnot, 1);
+      m.connect(g, in_port(0), net, bit);
       NetIndex out = m.add_net("nv" + std::to_string(v), 1);
-      m.connect(g, "OUT", out);
+      m.connect(g, out_port, out);
       it = inverted.emplace(v, out).first;
     }
     return {it->second, 0};
@@ -179,18 +226,18 @@ ControllerResult compile_control(const StateTable& table) {
   auto build_sop = [&](const std::vector<Implicant>& sop, NetIndex dst,
                        int dst_bit) {
     auto drive_const = [&](bool v) {
-      Instance& g = m.add_spec_instance(
-          "k" + std::to_string(fresh++), genus::make_gate_spec(Op::kBuf, 1));
-      m.connect_const(g, "I0", v ? 1 : 0);
-      m.connect(g, "OUT", dst, dst_bit);
+      Instance& g = add_gate("k" + std::to_string(fresh++), Op::kBuf, 1);
+      m.connect_const(g, in_port(0), v ? 1 : 0);
+      m.connect(g, out_port, dst, dst_bit);
     };
     if (sop.empty()) {
       drive_const(false);
       return;
     }
     std::vector<std::pair<NetIndex, int>> products;
+    std::vector<std::pair<NetIndex, int>> picks;
     for (const Implicant& imp : sop) {
-      std::vector<std::pair<NetIndex, int>> picks;
+      picks.clear();
       for (int v = 0; v < nvars; ++v) {
         if ((imp.mask >> v) & 1) continue;
         picks.push_back(((imp.value >> v) & 1) ? var_pick(v) : inv_pick(v));
@@ -203,34 +250,27 @@ ControllerResult compile_control(const StateTable& table) {
         products.push_back(picks[0]);
         continue;
       }
-      Instance& g = m.add_spec_instance(
-          "and" + std::to_string(fresh++),
-          genus::make_gate_spec(Op::kAnd, 1,
-                                static_cast<int>(picks.size())));
+      Instance& g = add_gate("and" + std::to_string(fresh++), Op::kAnd,
+                             static_cast<int>(picks.size()));
       for (size_t i = 0; i < picks.size(); ++i) {
-        m.connect(g, "I" + std::to_string(i), picks[i].first,
-                  picks[i].second);
+        m.connect(g, in_port(i), picks[i].first, picks[i].second);
       }
       NetIndex out = m.add_net("p" + std::to_string(fresh++), 1);
-      m.connect(g, "OUT", out);
+      m.connect(g, out_port, out);
       products.emplace_back(out, 0);
     }
     if (products.size() == 1) {
-      Instance& g = m.add_spec_instance(
-          "b" + std::to_string(fresh++), genus::make_gate_spec(Op::kBuf, 1));
-      m.connect(g, "I0", products[0].first, products[0].second);
-      m.connect(g, "OUT", dst, dst_bit);
+      Instance& g = add_gate("b" + std::to_string(fresh++), Op::kBuf, 1);
+      m.connect(g, in_port(0), products[0].first, products[0].second);
+      m.connect(g, out_port, dst, dst_bit);
       return;
     }
-    Instance& g = m.add_spec_instance(
-        "or" + std::to_string(fresh++),
-        genus::make_gate_spec(Op::kOr, 1,
-                              static_cast<int>(products.size())));
+    Instance& g = add_gate("or" + std::to_string(fresh++), Op::kOr,
+                           static_cast<int>(products.size()));
     for (size_t i = 0; i < products.size(); ++i) {
-      m.connect(g, "I" + std::to_string(i), products[i].first,
-                products[i].second);
+      m.connect(g, in_port(i), products[i].first, products[i].second);
     }
-    m.connect(g, "OUT", dst, dst_bit);
+    m.connect(g, out_port, dst, dst_bit);
   };
 
   for (const ControlFunction& fn : functions) {

@@ -1,8 +1,7 @@
 #include "ctrl/qm.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <bit>
 
 #include "base/diag.h"
 
@@ -28,97 +27,229 @@ std::string Implicant::to_string(int nvars,
   return out.empty() ? "1" : out;
 }
 
+namespace {
+
+// A cube c packed as (value << 32) | mask: integer order is (value, mask)
+// order, its merge partner across a free bit b (a 0 literal) is
+// c | (b << 32), and the merged cube is c | b.
+using Cube = std::uint64_t;
+
+Cube pack(std::uint32_t value, std::uint32_t mask) {
+  return (Cube{value} << 32) | mask;
+}
+std::uint32_t value_of(Cube c) { return static_cast<std::uint32_t>(c >> 32); }
+std::uint32_t mask_of(Cube c) { return static_cast<std::uint32_t>(c); }
+
+/// One merge level's distinct cubes, with an open-addressing index from
+/// cube to position (linear probing, power-of-two table at most half
+/// full).
+class Level {
+ public:
+  /// Empty the level and size its index for up to `n` cubes.
+  void reset(std::size_t n) {
+    cubes_.clear();
+    cubes_.reserve(n);
+    std::size_t size = 4;
+    shift_ = 62;
+    while (size < 2 * n) {
+      size <<= 1;
+      --shift_;
+    }
+    slots_.assign(size, kEmpty);
+  }
+
+  /// Add `c` unless it is already present.
+  void insert(Cube c) {
+    for (std::size_t h = home(c);; h = (h + 1) & (slots_.size() - 1)) {
+      if (slots_[h] == kEmpty) {
+        slots_[h] = static_cast<std::uint32_t>(cubes_.size());
+        cubes_.push_back(c);
+        return;
+      }
+      if (cubes_[slots_[h]] == c) return;
+    }
+  }
+
+  /// Position of `c` in cubes(), or -1.
+  std::int64_t find(Cube c) const {
+    for (std::size_t h = home(c);; h = (h + 1) & (slots_.size() - 1)) {
+      if (slots_[h] == kEmpty) return -1;
+      if (cubes_[slots_[h]] == c) return slots_[h];
+    }
+  }
+
+  const std::vector<Cube>& cubes() const { return cubes_; }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  std::size_t home(Cube c) const {
+    return static_cast<std::size_t>((c * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<Cube> cubes_;
+  std::vector<std::uint32_t> slots_;
+  int shift_ = 62;
+};
+
+/// All prime implicants, level by level (level k has k don't-care bits),
+/// sorted by (value, mask) within a level. Each cube looks up its partner
+/// across every free bit whose literal is 0, so a level costs
+/// O(cubes * nvars) instead of the all-pairs O(cubes^2).
+std::vector<Cube> prime_implicants(int nvars,
+                                   const std::vector<std::uint32_t>& on_set,
+                                   const std::vector<std::uint32_t>& dc_set) {
+  const std::uint32_t all = (std::uint32_t{1} << nvars) - 1;
+  Level level, next;
+  level.reset(on_set.size() + dc_set.size());
+  for (std::uint32_t m : on_set) level.insert(pack(m, 0));
+  for (std::uint32_t m : dc_set) level.insert(pack(m, 0));
+
+  std::vector<Cube> primes;
+  std::vector<Cube> merged;
+  std::vector<char> combined;
+  while (!level.cubes().empty()) {
+    const std::vector<Cube>& cubes = level.cubes();
+    combined.assign(cubes.size(), 0);
+    merged.clear();
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      const Cube c = cubes[i];
+      for (std::uint32_t free = all & ~mask_of(c) & ~value_of(c); free != 0;
+           free &= free - 1) {
+        const std::uint32_t bit = free & (~free + 1);
+        const std::int64_t j = level.find(c | (Cube{bit} << 32));
+        if (j < 0) continue;
+        combined[i] = 1;
+        combined[static_cast<std::size_t>(j)] = 1;
+        // A merged cube arises once for each of its don't-care bits; keep
+        // only the merge across the lowest one.
+        if (((bit - 1) & mask_of(c)) == 0) merged.push_back(c | bit);
+      }
+    }
+    const std::size_t first = primes.size();
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      if (!combined[i]) primes.push_back(cubes[i]);
+    }
+    std::sort(primes.begin() + static_cast<std::ptrdiff_t>(first),
+              primes.end());
+    next.reset(merged.size());
+    for (Cube c : merged) next.insert(c);
+    std::swap(level, next);
+  }
+  return primes;
+}
+
+}  // namespace
+
 std::vector<Implicant> minimize(int nvars,
                                 const std::vector<std::uint32_t>& on_set,
                                 const std::vector<std::uint32_t>& dc_set) {
   BRIDGE_CHECK(nvars >= 0 && nvars <= 20, "QM limited to 20 variables");
+  for (const auto* set : {&on_set, &dc_set}) {
+    for (std::uint32_t m : *set) {
+      BRIDGE_CHECK((m >> nvars) == 0, "minterm " << m << " out of range for "
+                                                 << nvars << " variables");
+    }
+  }
   if (on_set.empty()) return {};
 
-  // Level 0: all on-set and don't-care minterms as implicants.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> current;
-  for (std::uint32_t m : on_set) current.insert({m, 0});
-  for (std::uint32_t m : dc_set) current.insert({m, 0});
+  const std::vector<Cube> primes = prime_implicants(nvars, on_set, dc_set);
+  std::vector<std::uint32_t> on = on_set;
+  std::sort(on.begin(), on.end());
+  on.erase(std::unique(on.begin(), on.end()), on.end());
 
-  std::vector<Implicant> primes;
-  while (!current.empty()) {
-    std::set<std::pair<std::uint32_t, std::uint32_t>> next;
-    std::map<std::pair<std::uint32_t, std::uint32_t>, bool> combined;
-    for (const auto& ip : current) combined[ip] = false;
-
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> list(current.begin(),
-                                                              current.end());
-    for (size_t i = 0; i < list.size(); ++i) {
-      for (size_t j = i + 1; j < list.size(); ++j) {
-        if (list[i].second != list[j].second) continue;
-        std::uint32_t diff = list[i].first ^ list[j].first;
-        // Combine when they differ in exactly one non-masked bit.
-        if (diff == 0 || (diff & (diff - 1)) != 0) continue;
-        next.insert({list[i].first & ~diff, list[i].second | diff});
-        combined[list[i]] = true;
-        combined[list[j]] = true;
+  // Which on-set minterms (by index into `on`) each prime covers, and which
+  // primes cover each minterm. Primes of the don't-care set alone cover
+  // none and can never be chosen, so they are dropped here.
+  std::vector<Implicant> useful;
+  std::vector<std::uint32_t> row_start{0};
+  std::vector<std::uint32_t> rows;
+  std::vector<std::uint32_t> col_start(on.size() + 1, 0);
+  auto add = [&](std::size_t i) {
+    rows.push_back(static_cast<std::uint32_t>(i));
+    ++col_start[i + 1];
+  };
+  for (Cube c : primes) {
+    const Implicant p{value_of(c), mask_of(c)};
+    const std::size_t before = rows.size();
+    if ((std::size_t{1} << std::popcount(p.mask)) * 8 < on.size()) {
+      // A small cube in a large on-set: look up each of its minterms.
+      for (std::uint32_t sub = p.mask;; sub = (sub - 1) & p.mask) {
+        const auto it = std::lower_bound(on.begin(), on.end(), p.value | sub);
+        if (it != on.end() && *it == (p.value | sub)) add(it - on.begin());
+        if (sub == 0) break;
+      }
+    } else {
+      for (std::size_t i = 0; i < on.size(); ++i) {
+        if (p.covers(on[i])) add(i);
       }
     }
-    for (const auto& [ip, was_combined] : combined) {
-      if (!was_combined) primes.push_back(Implicant{ip.first, ip.second});
+    if (rows.size() == before) continue;
+    useful.push_back(p);
+    row_start.push_back(static_cast<std::uint32_t>(rows.size()));
+  }
+  for (std::size_t i = 0; i < on.size(); ++i) {
+    BRIDGE_CHECK(col_start[i + 1] > 0, "QM lost a minterm");
+    col_start[i + 1] += col_start[i];
+  }
+  std::vector<std::uint32_t> cols(rows.size());
+  std::vector<std::uint32_t> fill(col_start.begin(), col_start.end() - 1);
+  for (std::size_t p = 0; p < useful.size(); ++p) {
+    for (std::uint32_t k = row_start[p]; k < row_start[p + 1]; ++k) {
+      cols[fill[rows[k]]++] = static_cast<std::uint32_t>(p);
     }
-    current = std::move(next);
   }
 
-  // Cover the on-set: essential primes first, then greedy.
-  std::vector<std::uint32_t> remaining = on_set;
-  std::sort(remaining.begin(), remaining.end());
-  remaining.erase(std::unique(remaining.begin(), remaining.end()),
-                  remaining.end());
+  // cover[p] counts the still-uncovered minterms prime p covers; taking a
+  // prime updates it for every prime sharing a newly covered minterm.
+  std::vector<std::uint32_t> cover(useful.size());
+  for (std::size_t p = 0; p < useful.size(); ++p) {
+    cover[p] = row_start[p + 1] - row_start[p];
+  }
+  std::vector<char> covered(on.size(), 0);
+  std::vector<char> taken(useful.size(), 0);
+  std::size_t left = on.size();
   std::vector<Implicant> chosen;
-  auto remove_covered = [&remaining](const Implicant& imp) {
-    remaining.erase(std::remove_if(remaining.begin(), remaining.end(),
-                                   [&imp](std::uint32_t m) {
-                                     return imp.covers(m);
-                                   }),
-                    remaining.end());
+  auto take = [&](std::size_t p) {
+    taken[p] = 1;
+    chosen.push_back(useful[p]);
+    for (std::uint32_t k = row_start[p]; k < row_start[p + 1]; ++k) {
+      const std::uint32_t i = rows[k];
+      if (covered[i]) continue;
+      covered[i] = 1;
+      --left;
+      for (std::uint32_t c = col_start[i]; c < col_start[i + 1]; ++c) {
+        --cover[cols[c]];
+      }
+    }
   };
 
-  // Essential primes: minterms covered by exactly one prime.
-  for (std::uint32_t m : std::vector<std::uint32_t>(remaining)) {
-    const Implicant* only = nullptr;
-    int count = 0;
-    for (const Implicant& p : primes) {
-      if (p.covers(m)) {
-        ++count;
-        only = &p;
-      }
-    }
-    BRIDGE_CHECK(count > 0, "QM lost a minterm");
-    if (count == 1 &&
-        std::find(chosen.begin(), chosen.end(), *only) == chosen.end()) {
-      chosen.push_back(*only);
+  // Essential primes: minterms covered by exactly one prime, taken in
+  // on-set order.
+  for (std::size_t i = 0; i < on.size(); ++i) {
+    if (col_start[i + 1] - col_start[i] == 1 && !taken[cols[col_start[i]]]) {
+      take(cols[col_start[i]]);
     }
   }
-  for (const Implicant& p : chosen) remove_covered(p);
 
-  // Greedy: repeatedly take the prime covering the most remaining.
-  while (!remaining.empty()) {
-    const Implicant* best = nullptr;
-    int best_cover = 0;
-    for (const Implicant& p : primes) {
-      if (std::find(chosen.begin(), chosen.end(), p) != chosen.end()) {
-        continue;
-      }
-      int cover = 0;
-      for (std::uint32_t m : remaining) {
-        if (p.covers(m)) ++cover;
-      }
-      // Prefer wider coverage; break ties toward fewer literals.
-      if (cover > best_cover ||
-          (cover == best_cover && cover > 0 && best != nullptr &&
-           p.literals(nvars) < best->literals(nvars))) {
-        best = &p;
-        best_cover = cover;
+  // Greedy: repeatedly take the prime covering the most remaining
+  // minterms; ties go to the first such prime with strictly fewer
+  // literals.
+  while (left > 0) {
+    std::size_t best = useful.size();
+    std::uint32_t best_cover = 0;
+    int best_literals = 0;
+    for (std::size_t p = 0; p < useful.size(); ++p) {
+      if (taken[p] || cover[p] == 0 || cover[p] < best_cover) continue;
+      const int literals = nvars - std::popcount(useful[p].mask);
+      if (cover[p] > best_cover || literals < best_literals) {
+        best = p;
+        best_cover = cover[p];
+        best_literals = literals;
       }
     }
-    BRIDGE_CHECK(best != nullptr, "QM cover failed");
-    chosen.push_back(*best);
-    remove_covered(*best);
+    BRIDGE_CHECK(best < useful.size(), "QM cover failed");
+    take(best);
   }
   return chosen;
 }

@@ -2,8 +2,22 @@
 //
 // The control compiler of Figure 1 "extracts the sequencing logic and
 // applies logic-level optimizations"; this is the classical exact
-// prime-implicant generation with an essential-then-greedy cover, adequate
-// for controller-sized functions (<= ~16 inputs).
+// prime-implicant generation with an essential-then-greedy cover, for
+// functions of up to 20 inputs.
+//
+// Prime generation merges level by level (level k holds the cubes with k
+// don't-care bits). Each level's distinct cubes sit in an open-addressing
+// hash index, and a cube looks up its one partner across each free bit
+// instead of being compared with every other cube, so a level costs
+// O(cubes * inputs) rather than O(cubes^2). The cover step lists, once, the
+// on-set minterms each prime covers and keeps a running count of the
+// uncovered ones per prime.
+//
+// The result is deterministic and ordered: essential primes first, each
+// taken when the smallest on-set minterm it alone covers comes up (primes
+// are ranked level by level, by (value, mask) within a level); then the
+// greedy picks, each the prime covering the most still-uncovered minterms,
+// ties going to the first-ranked prime with the fewest literals.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +45,11 @@ struct Implicant {
 };
 
 /// Minimize a single-output function given its on-set and don't-care set
-/// (both as minterm indices over `nvars` variables). Returns a minimal-ish
-/// sum of products covering every on-set minterm (essential primes first,
-/// then greedy covering). An empty result means the function is constant 0;
-/// a single all-don't-care implicant means constant 1.
+/// (both as minterm indices over `nvars` <= 20 variables, in any order,
+/// repeats allowed; every minterm must be below 2^nvars). Returns a
+/// minimal-ish sum of products covering every on-set minterm, in the order
+/// described above. An empty result means the function is constant 0; a
+/// single all-don't-care implicant means constant 1.
 std::vector<Implicant> minimize(int nvars,
                                 const std::vector<std::uint32_t>& on_set,
                                 const std::vector<std::uint32_t>& dc_set);

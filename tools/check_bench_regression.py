@@ -113,14 +113,28 @@ LINT_MAX_PCT_OF_EXTRACT = 5.0
 
 # Co-simulation budget (bench_fig1_pipeline -> fig1/cosim): hls::run_fsmd
 # on gcd(84, 36), simulator build included, in microseconds per simulated
-# cycle. The only absolute latency ceiling here: the compiled simulator
-# measured 2.0-3.6 us/cycle on a 4-core x86 container, Release build (the
+# cycle. An absolute latency ceiling (like fig1/ctrl below): the compiled
+# simulator measured 2.0-3.6 us/cycle on a 4-core x86 container, Release build (the
 # interpretive simulator it replaced took 33-49 us/cycle on the same
 # machine), so the ceiling leaves ~4x headroom for a slower runner and
 # still fails a fall back to the per-bit path. The co-simulated gcd must
 # also be right (outputs_match == 1).
 COSIM_ENTRY = "fig1/cosim"
 COSIM_MAX_US_PER_CYCLE = 15.0
+
+# Control-compiler budget (bench_fig1_pipeline -> fig1/ctrl): microseconds
+# per ctrl::compile_control on the gcd's state table and on a seeded
+# 8-variable table. The hashed, linear-per-cube Quine-McCluskey measured
+# 64-104 us (gcd) and 1.85-2.07 ms (seeded) on a 4-core x86 container,
+# Release build; the all-pairs minimizer it replaced took 170-290 us and
+# 31-37 ms on the same machine. The ceilings leave ~4x headroom, and the
+# seeded one still fails a fall back to the all-pairs merge. Both
+# controllers must also report a nonzero implicant_count.
+CTRL_ENTRY = "fig1/ctrl"
+CTRL_MAX_US = {
+    "gcd_us": 400.0,
+    "seeded_us": 8000.0,
+}
 
 # Server-throughput floors (bench_server_throughput -> BENCH_server.json,
 # checked via --server). Absolute and within-run, like the cache floors:
@@ -301,6 +315,28 @@ def check_cosim(fresh, failures):
                         "from the expected result")
 
 
+def check_ctrl(fresh, failures):
+    """Hold the control compiler to its absolute per-call ceilings."""
+    e = fresh.get(CTRL_ENTRY)
+    if e is None:
+        failures.append(f"{CTRL_ENTRY}: gated entry missing from fresh run")
+        return
+    for field, ceiling in CTRL_MAX_US.items():
+        us = e.get(field)
+        if us is None:
+            failures.append(f"{CTRL_ENTRY}: {field} missing")
+        elif us > ceiling:
+            failures.append(
+                f"{CTRL_ENTRY}: {field} {us:.1f} us per compile_control "
+                f"exceeds the {ceiling:.0f} us ceiling")
+        else:
+            print(f"{CTRL_ENTRY}: {field} {us:.1f} us "
+                  f"(ceiling {ceiling:.0f} us) ok")
+    for field in ("gcd_implicant_count", "seeded_implicant_count"):
+        if e.get(field, 0) < 1:
+            failures.append(f"{CTRL_ENTRY}: {field} missing or zero")
+
+
 def check_server(path, failures):
     """Hold the server-throughput entries to their absolute floors."""
     entries = load_entries(path)
@@ -387,6 +423,7 @@ def main():
     check_effectiveness(fresh, failures)
     check_lint_phase(fresh, failures)
     check_cosim(fresh, failures)
+    check_ctrl(fresh, failures)
     if args.server:
         check_server(args.server, failures)
 
