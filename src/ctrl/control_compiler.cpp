@@ -60,8 +60,11 @@ ControllerResult compile_control(const StateTable& table) {
   BRIDGE_CHECK(ordered.front()->name == table.initial,
                "initial state '" << table.initial << "' names no row");
   for (size_t i = 0; i < ordered.size(); ++i) {
-    result.state_codes[ordered[i]->name] =
-        static_cast<std::uint32_t>(i);
+    const bool fresh =
+        result.state_codes
+            .emplace(ordered[i]->name, static_cast<std::uint32_t>(i))
+            .second;
+    BRIDGE_CHECK(fresh, "duplicate state '" << ordered[i]->name << "'");
   }
 
   // Input variable order: status inputs in bits [0, nstatus), state bits
@@ -181,8 +184,7 @@ ControllerResult compile_control(const StateTable& table) {
   m.connect(sreg, "Q", state_q);
 
   // Gates are 1 bit wide, so a gate's spec and reference name depend only
-  // on its function and fan-in: build each pair once, and intern the input
-  // port names once.
+  // on its function and fan-in: build each pair once.
   std::map<std::pair<Op, int>, std::pair<ComponentSpec, std::string>> gates;
   auto add_gate = [&](std::string name, Op fn, int fanin) -> Instance& {
     auto it = gates.find({fn, fanin});
@@ -195,14 +197,6 @@ ControllerResult compile_control(const StateTable& table) {
     }
     return m.add_spec_instance(name, it->second.first, it->second.second);
   };
-  std::vector<base::Symbol> in_ports;
-  auto in_port = [&in_ports](std::size_t i) {
-    while (in_ports.size() <= i) {
-      in_ports.emplace_back("I" + std::to_string(in_ports.size()));
-    }
-    return in_ports[i];
-  };
-  const base::Symbol out_port("OUT");
 
   // Input literals: (net, bit) for each variable and its complement.
   int fresh = 0;
@@ -216,9 +210,9 @@ ControllerResult compile_control(const StateTable& table) {
     if (it == inverted.end()) {
       auto [net, bit] = var_pick(v);
       Instance& g = add_gate("inv" + std::to_string(fresh++), Op::kLnot, 1);
-      m.connect(g, in_port(0), net, bit);
+      m.connect(g, "I0", net, bit);
       NetIndex out = m.add_net("nv" + std::to_string(v), 1);
-      m.connect(g, out_port, out);
+      m.connect(g, "OUT", out);
       it = inverted.emplace(v, out).first;
     }
     return {it->second, 0};
@@ -227,17 +221,16 @@ ControllerResult compile_control(const StateTable& table) {
                        int dst_bit) {
     auto drive_const = [&](bool v) {
       Instance& g = add_gate("k" + std::to_string(fresh++), Op::kBuf, 1);
-      m.connect_const(g, in_port(0), v ? 1 : 0);
-      m.connect(g, out_port, dst, dst_bit);
+      m.connect_const(g, "I0", v ? 1 : 0);
+      m.connect(g, "OUT", dst, dst_bit);
     };
     if (sop.empty()) {
       drive_const(false);
       return;
     }
     std::vector<std::pair<NetIndex, int>> products;
-    std::vector<std::pair<NetIndex, int>> picks;
     for (const Implicant& imp : sop) {
-      picks.clear();
+      std::vector<std::pair<NetIndex, int>> picks;
       for (int v = 0; v < nvars; ++v) {
         if ((imp.mask >> v) & 1) continue;
         picks.push_back(((imp.value >> v) & 1) ? var_pick(v) : inv_pick(v));
@@ -253,24 +246,26 @@ ControllerResult compile_control(const StateTable& table) {
       Instance& g = add_gate("and" + std::to_string(fresh++), Op::kAnd,
                              static_cast<int>(picks.size()));
       for (size_t i = 0; i < picks.size(); ++i) {
-        m.connect(g, in_port(i), picks[i].first, picks[i].second);
+        m.connect(g, "I" + std::to_string(i), picks[i].first,
+                  picks[i].second);
       }
       NetIndex out = m.add_net("p" + std::to_string(fresh++), 1);
-      m.connect(g, out_port, out);
+      m.connect(g, "OUT", out);
       products.emplace_back(out, 0);
     }
     if (products.size() == 1) {
       Instance& g = add_gate("b" + std::to_string(fresh++), Op::kBuf, 1);
-      m.connect(g, in_port(0), products[0].first, products[0].second);
-      m.connect(g, out_port, dst, dst_bit);
+      m.connect(g, "I0", products[0].first, products[0].second);
+      m.connect(g, "OUT", dst, dst_bit);
       return;
     }
     Instance& g = add_gate("or" + std::to_string(fresh++), Op::kOr,
                            static_cast<int>(products.size()));
     for (size_t i = 0; i < products.size(); ++i) {
-      m.connect(g, in_port(i), products[i].first, products[i].second);
+      m.connect(g, "I" + std::to_string(i), products[i].first,
+                products[i].second);
     }
-    m.connect(g, out_port, dst, dst_bit);
+    m.connect(g, "OUT", dst, dst_bit);
   };
 
   for (const ControlFunction& fn : functions) {

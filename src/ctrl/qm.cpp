@@ -165,24 +165,13 @@ std::vector<Implicant> minimize(int nvars,
   std::vector<std::uint32_t> row_start{0};
   std::vector<std::uint32_t> rows;
   std::vector<std::uint32_t> col_start(on.size() + 1, 0);
-  auto add = [&](std::size_t i) {
-    rows.push_back(static_cast<std::uint32_t>(i));
-    ++col_start[i + 1];
-  };
   for (Cube c : primes) {
     const Implicant p{value_of(c), mask_of(c)};
     const std::size_t before = rows.size();
-    if ((std::size_t{1} << std::popcount(p.mask)) * 8 < on.size()) {
-      // A small cube in a large on-set: look up each of its minterms.
-      for (std::uint32_t sub = p.mask;; sub = (sub - 1) & p.mask) {
-        const auto it = std::lower_bound(on.begin(), on.end(), p.value | sub);
-        if (it != on.end() && *it == (p.value | sub)) add(it - on.begin());
-        if (sub == 0) break;
-      }
-    } else {
-      for (std::size_t i = 0; i < on.size(); ++i) {
-        if (p.covers(on[i])) add(i);
-      }
+    for (std::size_t i = 0; i < on.size(); ++i) {
+      if (!p.covers(on[i])) continue;
+      rows.push_back(static_cast<std::uint32_t>(i));
+      ++col_start[i + 1];
     }
     if (rows.size() == before) continue;
     useful.push_back(p);
@@ -207,11 +196,9 @@ std::vector<Implicant> minimize(int nvars,
     cover[p] = row_start[p + 1] - row_start[p];
   }
   std::vector<char> covered(on.size(), 0);
-  std::vector<char> taken(useful.size(), 0);
   std::size_t left = on.size();
   std::vector<Implicant> chosen;
   auto take = [&](std::size_t p) {
-    taken[p] = 1;
     chosen.push_back(useful[p]);
     for (std::uint32_t k = row_start[p]; k < row_start[p + 1]; ++k) {
       const std::uint32_t i = rows[k];
@@ -225,22 +212,22 @@ std::vector<Implicant> minimize(int nvars,
   };
 
   // Essential primes: minterms covered by exactly one prime, taken in
-  // on-set order.
+  // on-set order (a minterm already covered has its prime taken).
   for (std::size_t i = 0; i < on.size(); ++i) {
-    if (col_start[i + 1] - col_start[i] == 1 && !taken[cols[col_start[i]]]) {
+    if (col_start[i + 1] - col_start[i] == 1 && !covered[i]) {
       take(cols[col_start[i]]);
     }
   }
 
   // Greedy: repeatedly take the prime covering the most remaining
-  // minterms; ties go to the first such prime with strictly fewer
-  // literals.
+  // minterms (a taken prime covers none); ties go to the first such prime
+  // with strictly fewer literals.
   while (left > 0) {
     std::size_t best = useful.size();
     std::uint32_t best_cover = 0;
     int best_literals = 0;
     for (std::size_t p = 0; p < useful.size(); ++p) {
-      if (taken[p] || cover[p] == 0 || cover[p] < best_cover) continue;
+      if (cover[p] == 0 || cover[p] < best_cover) continue;
       const int literals = nvars - std::popcount(useful[p].mask);
       if (cover[p] > best_cover || literals < best_literals) {
         best = p;

@@ -17,16 +17,13 @@
 // controllers, and say so.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "base/diag.h"
 #include "base/fingerprint.h"
 #include "ctrl/control_compiler.h"
+#include "golden_programs.h"
 #include "hls/ast.h"
 #include "hls/fsmd.h"
 #include "vhdl/vhdl.h"
@@ -34,83 +31,11 @@
 namespace bridge {
 namespace {
 
-/// A behavioral program template: `@` stands for the datapath width.
-struct Program {
-  const char* name;
-  const char* text;
-};
-
-std::vector<Program> programs() {
-  return {
-      {"gcd",
-       R"(design gcd;
-input a : @; input b : @; output r : @; var x : @; var y : @;
-begin
-  x = a; y = b;
-  while (x != y) { if (x > y) { x = x - y; } else { y = y - x; } }
-  r = x;
-end)"},
-      {"count_down",
-       R"(design count_down;
-input a : @; input n : @; output r : @; var i : @; var acc : @;
-begin
-  acc = 0; i = n;
-  while (i != 0) { acc = acc + a; i = i - 1; }
-  r = acc;
-end)"},
-      {"count_up",
-       R"(design count_up;
-input a : @; input n : @; output r : @; var i : @; var acc : @;
-begin
-  acc = a; i = 0;
-  while (i < n) { acc = acc ^ (a + i); i = i + 1; }
-  r = acc;
-end)"},
-      {"nested",
-       R"(design nested;
-input a : @; input n : @; input m : @; output r : @; output s : @;
-var i : @; var j : @; var acc : @;
-begin
-  acc = a; i = n;
-  while (i != 0) {
-    j = m;
-    while (j != 0) { acc = acc + i; j = j - 1; }
-    i = i - 1;
-  }
-  r = acc; s = acc & a;
-end)"},
-      {"shifts",
-       R"(design shifts;
-input a : @; input b : @; output r : @; output s : @; var x : @; var k : @;
-begin
-  x = a; k = 0;
-  while (x != 0) { x = x >> 1; k = k + 1; }
-  r = (b << 3) ^ k;
-  s = (a >> 2) | (b << 1);
-end)"},
-      {"if_else",
-       R"(design if_else;
-input a : @; input b : @; output r : @; output s : @; var x : @;
-begin
-  if (a < b) { x = b - a; } else { x = a - b; }
-  if (x == 0) { x = 1; }
-  if (a >= b) { r = x | a; } else { r = x & b; }
-  if (a <= b) { s = ~a; } else { if (a != b) { s = a ^ b; } }
-end)"},
-  };
-}
-
-std::string with_width(const char* text, int width) {
-  std::string out;
-  for (const char* c = text; *c != '\0'; ++c) {
-    if (*c == '@') {
-      out += std::to_string(width);
-    } else {
-      out += *c;
-    }
-  }
-  return out;
-}
+using golden::hex64;
+using golden::Program;
+using golden::programs;
+using golden::read_file;
+using golden::with_width;
 
 /// A random state table whose controller has exactly `nvars` input
 /// variables: up to four status inputs, the rest state bits, and a state
@@ -154,13 +79,6 @@ hls::StateTable random_table(std::mt19937_64& rng, int nvars) {
   }
   t.initial = state(pick(nstates));
   return t;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// One controller's record: its counts, VHDL digest, and every output
@@ -215,13 +133,6 @@ std::string render_all() {
 
 std::string fixture_path() {
   return std::string(BRIDGE_TESTS_DIR) + "/golden/ctrl.txt";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 TEST(CtrlGolden, ControllersMatchTheFixture) {

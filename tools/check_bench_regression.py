@@ -125,11 +125,11 @@ COSIM_MAX_US_PER_CYCLE = 15.0
 # Control-compiler budget (bench_fig1_pipeline -> fig1/ctrl): microseconds
 # per ctrl::compile_control on the gcd's state table and on a seeded
 # 8-variable table. The hashed, linear-per-cube Quine-McCluskey measured
-# 64-104 us (gcd) and 1.85-2.07 ms (seeded) on a 4-core x86 container,
-# Release build; the all-pairs minimizer it replaced took 170-290 us and
-# 31-37 ms on the same machine. The ceilings leave ~4x headroom, and the
-# seeded one still fails a fall back to the all-pairs merge. Both
-# controllers must also report a nonzero implicant_count.
+# 61-104 us (gcd) and 1.6-2.2 ms (seeded) on a 4-core x86 container,
+# Release build; the all-pairs minimizer it replaced took 170-330 us and
+# 31-40 ms on the same machine. The ceilings leave ~4x headroom over the
+# median, and the seeded one still fails a fall back to the all-pairs
+# merge. Both controllers must also report a nonzero implicant_count.
 CTRL_ENTRY = "fig1/ctrl"
 CTRL_MAX_US = {
     "gcd_us": 400.0,
