@@ -17,6 +17,7 @@
 // controllers, and say so.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 #include <string>
