@@ -13,10 +13,14 @@
 // percent-tens of area for a factor-~5 delay reduction) is the target.
 //
 // Besides the Figure-3 table, this bench times each synthesis phase
-// (expand / evaluate / extract) under the compiled TimingPlan evaluator
-// and under the reference functional evaluator, checks the two produce
-// identical alternatives, and records both wall times in
-// BENCH_synthesis.json.
+// (expand / evaluate / extract) under the library's compiled TimingPlan
+// evaluator and under the reference functional evaluator (the test oracle
+// in tests/eval_reference.h, which fills the same expanded graph's
+// alternatives before synthesize() extracts them), checks the two produce
+// identical fronts, and records both wall times in BENCH_synthesis.json.
+// The expansion-phase entry likewise compares the warm template cache
+// against a rule base wrapped uncacheable (every expansion re-runs
+// TemplateBuilder and plan compilation).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +30,7 @@
 #include "bench_json.h"
 #include "cells/cell.h"
 #include "dtas/synthesizer.h"
+#include "eval_reference.h"
 #include "lint/lint.h"
 #include "netlist/netlist.h"
 #include "vhdl/vhdl.h"
@@ -54,18 +59,21 @@ PhaseTimes run_phases(bool compiled, int threads = 1,
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
   dtas::SpaceOptions opt;
-  opt.use_compiled_plan = compiled;
-  opt.bound_prune = compiled;
   opt.threads = threads;
-  opt.use_template_cache = template_cache;
   opt.min_delay_gain = min_delay_gain;
   PhaseTimes pt;
   const genus::ComponentSpec alu = genus::make_alu_spec(64, genus::alu16_ops());
   const auto t0 = clock::now();
-  dtas::Synthesizer synth(cells::lsi_library(), opt);
+  dtas::RuleBase rules = dtas::default_rules_for(cells::lsi_library());
+  if (!template_cache) rules = dtas::reference::uncacheable(std::move(rules));
+  dtas::Synthesizer synth(std::move(rules), cells::lsi_library(), opt);
   auto* node = synth.space().expand(alu);
   const auto t1 = clock::now();
-  synth.space().evaluate(node);
+  if (compiled) {
+    synth.space().evaluate(node);
+  } else {
+    dtas::reference::evaluate(synth.space(), node);
+  }
   // Warm the per-Synthesizer extraction cache so the timed pass below
   // measures pure shared-module reuse (the cache is session-scoped, so a
   // prior synthesize on the same Synthesizer warms it).
@@ -207,9 +215,9 @@ int main() {
   row("extract", compiled.extract_ms, reference.extract_ms);
   row("total", compiled_total, reference_total);
 
-  // Expansion-phase headline: warm template cache + interned names vs the
-  // cache-off path (which re-runs TemplateBuilder and plan compilation per
-  // expansion, the pre-cache behavior). The fronts must not notice.
+  // Expansion-phase headline: warm template cache + interned names vs
+  // uncacheable rules (which re-run TemplateBuilder and plan compilation
+  // per expansion, the pre-cache behavior). The fronts must not notice.
   // `compiled` above ran with the cache on and warm — the process-wide
   // cache was populated by the very first synthesis in main().
   const PhaseMedians nocache = measure(true, 1, /*template_cache=*/false);
@@ -246,7 +254,7 @@ int main() {
   // Threads-vs-speedup datapoint: the Pareto-trimmed odometer sits far
   // below the shard threshold, so the sharded evaluator stays serial on
   // this spec — but node-parallel evaluation (antichain fan-out across
-  // independent SpecNodes, SpaceOptions::node_parallel) now gives
+  // independent SpecNodes, on whenever SpaceOptions::threads > 1) gives
   // single-spec synthesis its own parallel axis; the dedicated
   // node_parallel entry below records how far it carries the evaluate
   // phase.

@@ -2,18 +2,26 @@
 // minutes of real time on a SUN-3 workstation."
 //
 // This bench records the repo's synthesis-runtime trajectory. Every
-// workload runs twice — once on the compiled TimingPlan evaluator
-// (default) and once on the reference functional evaluator, i.e. the
-// pre-compiled-plan code path preserved behind
-// SpaceOptions::use_compiled_plan — and both total synthesis wall times
-// land in BENCH_synthesis.json, together with odometer statistics
-// (combinations evaluated / pruned) and design-space sizes. On top of
-// that, every workload is re-run on the sharded parallel odometer at
-// threads ∈ {2, 4, 8}, recording one <workload>/t<N> entry each plus
-// suite-level sec6_runtime/suite_t<N> entries whose speedup_vs_1thread is
-// the threads-vs-speedup headline. All runs — both evaluators and every
-// thread count — must produce identical alternative fronts (same metrics,
-// same descriptions); any divergence fails the bench.
+// workload runs twice — once on the library's compiled TimingPlan
+// evaluator with bound-and-prune, and once on the reference functional
+// evaluator (the pre-compiled-plan, unpruned evaluator, kept as the test
+// oracle in tests/eval_reference.h) — and both wall times land in
+// BENCH_synthesis.json, together with odometer statistics (combinations
+// evaluated / pruned, and the combinations the reference enumerated, which
+// must equal their sum) and design-space sizes. A spec workload's
+// reference arm is a whole synthesis (expand, reference evaluate, extract
+// from the reference alternatives); a netlist workload's stops at the
+// netlist-level reference front and does not extract. On top of that,
+// every workload is re-run on the sharded parallel odometer at threads ∈
+// {2, 4, 8}, recording one <workload>/t<N> entry each plus suite-level
+// sec6_runtime/suite_t<N> entries whose speedup_vs_1thread is the
+// threads-vs-speedup headline. All runs must agree: spec workloads
+// produce identical fronts (same metrics, same descriptions) on both
+// evaluators; netlist workloads produce exactly the same netlist-level
+// alternatives (implementation, child choices, metrics) on the compiled
+// and the reference odometer, and the extracted front carries their
+// metrics; every thread count reproduces the serial front. Any divergence
+// fails the bench.
 //
 // Workloads:
 //  - spec synthesis of the Figure-3 ALU family and wide adders (these are
@@ -31,7 +39,7 @@
 // BRIDGE_BENCH_QUICK=1 drops the repeat count to one (sanitizer CI runs).
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +47,7 @@
 #include "bench_json.h"
 #include "cells/cell.h"
 #include "dtas/synthesizer.h"
+#include "eval_reference.h"
 #include "netlist/netlist.h"
 
 using namespace bridge;
@@ -56,6 +65,9 @@ struct RunResult {
   long template_cache_hits = 0;    // this run's lookups only
   long template_cache_misses = 0;
   std::vector<dtas::AlternativeDesign> alts;
+  // Reference arm of a netlist workload: the netlist-level front (no
+  // extraction).
+  std::vector<dtas::Alternative> netlist_alts;
   double prune_ratio() const {
     const long total = evaluated + pruned;
     return total > 0 ? static_cast<double>(pruned) / total : 0.0;
@@ -182,21 +194,32 @@ netlist::Module make_datapath(int w) {
   return m;
 }
 
-dtas::SpaceOptions with_evaluator(dtas::SpaceOptions opt, bool compiled,
-                                  int threads = 1) {
-  opt.use_compiled_plan = compiled;
-  opt.bound_prune = compiled;  // pruning belongs to the new evaluator
-  opt.threads = threads;       // 1 = the serial baseline path
+/// One workload: a single spec (spec synthesis) or, when `spec` is empty,
+/// the 16-bit datapath (whole-netlist synthesis).
+struct Workload {
+  std::string name;
+  dtas::SpaceOptions options;
+  std::optional<genus::ComponentSpec> spec;
+};
+
+dtas::SpaceOptions with_threads(dtas::SpaceOptions opt, int threads = 1) {
+  opt.threads = threads;  // 1 = the serial baseline path
   return opt;
 }
 
-template <class SynthFn>
-RunResult run(const dtas::SpaceOptions& opt, SynthFn&& synth_fn, int repeats) {
+/// The compiled arm: one synthesis, extraction included.
+RunResult run(const Workload& w, int threads, int repeats) {
+  const dtas::SpaceOptions opt = with_threads(w.options, threads);
   RunResult r;
   r.wall_ms = benchjson::time_ms(
       [&] {
         dtas::Synthesizer synth(cells::lsi_library(), opt);
-        r.alts = synth_fn(synth);
+        if (w.spec) {
+          r.alts = synth.synthesize(*w.spec);
+        } else {
+          const netlist::Module input = make_datapath(16);
+          r.alts = synth.synthesize_netlist(input);
+        }
         r.evaluated = synth.space().stats().combinations_evaluated;
         r.pruned = synth.space().stats().combinations_pruned;
         r.parallel_odometers = synth.space().stats().parallel_odometers;
@@ -210,28 +233,75 @@ RunResult run(const dtas::SpaceOptions& opt, SynthFn&& synth_fn, int repeats) {
   return r;
 }
 
+/// The reference arm at one thread: a spec workload expands, evaluates on
+/// the reference evaluator, and extracts from the reference alternatives;
+/// a netlist workload computes the reference netlist-level front.
+/// `evaluated` counts every combination the unpruned reference enumerated.
+RunResult run_reference(const Workload& w, int repeats) {
+  const dtas::SpaceOptions opt = with_threads(w.options);
+  RunResult r;
+  r.wall_ms = benchjson::time_ms(
+      [&] {
+        dtas::Synthesizer synth(cells::lsi_library(), opt);
+        if (w.spec) {
+          r.evaluated = dtas::reference::evaluate(
+              synth.space(), synth.space().expand(*w.spec));
+          r.alts = synth.synthesize(*w.spec);
+        } else {
+          const netlist::Module input = make_datapath(16);
+          dtas::reference::NetlistFront front =
+              dtas::reference::netlist_front(synth.space(), input);
+          r.evaluated = front.combinations;
+          r.netlist_alts = std::move(front.alts);
+        }
+      },
+      repeats);
+  return r;
+}
+
+/// Whether the compiled arm agrees with the reference arm. Spec workloads
+/// compare whole fronts. Netlist workloads compare the compiled
+/// netlist-level alternatives — the plan odometer re-run, untimed, on a
+/// fresh serial space's evaluated children — with the reference
+/// odometer's exactly, and the compiled front's metrics with theirs.
+bool matches_reference(const Workload& w, const RunResult& compiled,
+                       const RunResult& reference) {
+  if (w.spec) return benchjson::identical_fronts(compiled.alts, reference.alts);
+  dtas::Synthesizer synth(cells::lsi_library(), with_threads(w.options));
+  const netlist::Module input = make_datapath(16);
+  for (dtas::SpecNode* root :
+       dtas::reference::netlist_roots(synth.space(), input)) {
+    synth.space().evaluate(root);
+  }
+  if (!dtas::reference::identical(
+          dtas::reference::compiled_netlist_alternatives(synth.space(),
+                                                         input),
+          reference.netlist_alts) ||
+      compiled.alts.size() != reference.netlist_alts.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < compiled.alts.size(); ++i) {
+    if (compiled.alts[i].metric.area != reference.netlist_alts[i].metric.area ||
+        compiled.alts[i].metric.delay !=
+            reference.netlist_alts[i].metric.delay) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
-  struct Workload {
-    std::string name;
-    dtas::SpaceOptions options;
-    std::function<std::vector<dtas::AlternativeDesign>(dtas::Synthesizer&)> fn;
-  };
   std::vector<Workload> workloads;
 
   for (int width : {16, 32, 64}) {
-    workloads.push_back(
-        {"sec6_runtime/alu" + std::to_string(width) + "_lsi",
-         dtas::SpaceOptions{},
-         [width](dtas::Synthesizer& s) {
-           return s.synthesize(genus::make_alu_spec(width, genus::alu16_ops()));
-         }});
+    workloads.push_back({"sec6_runtime/alu" + std::to_string(width) + "_lsi",
+                         dtas::SpaceOptions{},
+                         genus::make_alu_spec(width, genus::alu16_ops())});
   }
   workloads.push_back({"sec6_runtime/adder128_lsi", dtas::SpaceOptions{},
-                       [](dtas::Synthesizer& s) {
-                         return s.synthesize(genus::make_adder_spec(128));
-                       }});
+                       genus::make_adder_spec(128)});
   // The dense sweep: strict Pareto (no favorable-tradeoff threshold) keeps
   // every non-dominated child alternative, so the whole-netlist odometer
   // runs against max_combinations_per_impl — the "several hundred thousand
@@ -240,11 +310,7 @@ int main() {
     dtas::SpaceOptions sweep;
     sweep.min_delay_gain = 0.0;
     sweep.max_combinations_per_impl = 200000;
-    workloads.push_back({"sec6_runtime/datapath16_sweep", sweep,
-                         [](dtas::Synthesizer& s) {
-                           const netlist::Module input = make_datapath(16);
-                           return s.synthesize_netlist(input);
-                         }});
+    workloads.push_back({"sec6_runtime/datapath16_sweep", sweep, {}});
   }
   // The same sweep at the top of the §5 range ("to several million"):
   // a deeper alternative cap and a one-million combination budget. This
@@ -254,17 +320,10 @@ int main() {
     sweep1m.min_delay_gain = 0.0;
     sweep1m.max_alternatives_per_node = 48;
     sweep1m.max_combinations_per_impl = 1000000;
-    workloads.push_back({"sec6_runtime/datapath16_sweep1m", sweep1m,
-                         [](dtas::Synthesizer& s) {
-                           const netlist::Module input = make_datapath(16);
-                           return s.synthesize_netlist(input);
-                         }});
+    workloads.push_back({"sec6_runtime/datapath16_sweep1m", sweep1m, {}});
   }
-  workloads.push_back({"sec6_runtime/datapath16_default", dtas::SpaceOptions{},
-                       [](dtas::Synthesizer& s) {
-                         const netlist::Module input = make_datapath(16);
-                         return s.synthesize_netlist(input);
-                       }});
+  workloads.push_back(
+      {"sec6_runtime/datapath16_default", dtas::SpaceOptions{}, {}});
 
   const char* quick_env = std::getenv("BRIDGE_BENCH_QUICK");
   const bool quick = quick_env != nullptr && quick_env[0] != '\0' &&
@@ -281,14 +340,11 @@ int main() {
   std::vector<double> total_threaded(kThreadCounts.size(), 0.0);
   bool all_identical = true;
   for (const Workload& w : workloads) {
-    // Serial baseline (threads = 1, the PR 2 code path) vs the reference
-    // functional evaluator.
-    const RunResult compiled =
-        run(with_evaluator(w.options, true), w.fn, repeats);
-    const RunResult reference =
-        run(with_evaluator(w.options, false), w.fn, repeats);
-    const bool same = benchjson::identical_fronts(compiled.alts,
-                                                  reference.alts);
+    // Serial baseline (threads = 1) vs the reference functional
+    // evaluator.
+    const RunResult compiled = run(w, 1, repeats);
+    const RunResult reference = run_reference(w, repeats);
+    const bool same = matches_reference(w, compiled, reference);
     all_identical = all_identical && same;
     total_compiled += compiled.wall_ms;
     total_reference += reference.wall_ms;
@@ -327,8 +383,7 @@ int main() {
     // contract, enforced here on every bench run.
     for (size_t t = 0; t < kThreadCounts.size(); ++t) {
       const int threads = kThreadCounts[t];
-      const RunResult threaded =
-          run(with_evaluator(w.options, true, threads), w.fn, repeats);
+      const RunResult threaded = run(w, threads, repeats);
       const bool tsame =
           benchjson::identical_fronts(threaded.alts, compiled.alts);
       all_identical = all_identical && tsame;

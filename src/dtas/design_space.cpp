@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "base/diag.h"
@@ -78,7 +79,11 @@ bool ParetoFront::dominates_bound(double area, double delay_lower_bound) const {
 }
 
 long parse_cache_budget(const std::string& text) {
-  if (text.empty()) return -1;
+  // Digits first: std::stoull alone would also skip leading whitespace and
+  // accept a sign (negating "-5" into a huge unsigned value).
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return -1;
+  }
   std::size_t pos = 0;
   unsigned long long value = 0;
   try {
@@ -96,6 +101,10 @@ long parse_cache_budget(const std::string& text) {
       default: return -1;
     }
   }
+  if (value > static_cast<unsigned long long>(
+                  std::numeric_limits<long>::max() / multiplier)) {
+    return -1;  // the byte count would overflow a long
+  }
   return static_cast<long>(value) * multiplier;
 }
 
@@ -106,17 +115,14 @@ long cache_budget_from_env() {
 
 namespace {
 
-/// Byte footprint of one cached (rule, spec) entry: the compiled modules,
-/// schedules, and plans the cache keeps alive.
+/// Byte footprint of one cached (rule, spec) entry: the compiled modules
+/// and plans the cache keeps alive.
 std::size_t entry_footprint(const std::vector<CompiledTemplate>& templates) {
   std::size_t bytes = sizeof(std::vector<CompiledTemplate>) +
                       templates.capacity() * sizeof(CompiledTemplate);
   for (const CompiledTemplate& ct : templates) {
     if (ct.tmpl != nullptr) bytes += ct.tmpl->approx_footprint_bytes();
     bytes += ct.child_specs.capacity() * sizeof(genus::ComponentSpec);
-    if (ct.topo != nullptr) {
-      bytes += sizeof(EvalSchedule) + ct.topo->capacity() * sizeof(EvalStep);
-    }
     if (ct.plan != nullptr) bytes += ct.plan->approx_footprint_bytes();
   }
   return bytes;
@@ -231,7 +237,6 @@ void TemplateCache::evict_locked(Shard& shard, std::size_t target) {
       bool pinned = false;
       for (const CompiledTemplate& ct : *e.templates) {
         if ((ct.tmpl != nullptr && ct.tmpl.use_count() > 1) ||
-            (ct.topo != nullptr && ct.topo.use_count() > 1) ||
             (ct.plan != nullptr && ct.plan.use_count() > 1)) {
           pinned = true;
           break;
@@ -399,11 +404,12 @@ namespace {
 
 /// Run one rule's expand() and compile every produced template into its
 /// immutable shared form: distinct child specs (first-occurrence instance
-/// order), evaluation schedule, and timing plan. Pure in (rule name,
-/// spec) by the Rule::expand contract, so the result is what the global
-/// TemplateCache stores. Combinational-cycle rejection is a property of
-/// the template and is recorded here; cyclic-*graph* rejection depends on
-/// the expansion path and stays in expand_node.
+/// order) and timing plan, compiled from a topological schedule that is
+/// dropped afterwards. Pure in (rule name, spec) by the Rule::expand
+/// contract, so the result is what the global TemplateCache stores.
+/// Combinational-cycle rejection is a property of the template and is
+/// recorded here; cyclic-*graph* rejection depends on the expansion path
+/// and stays in expand_node.
 std::vector<CompiledTemplate> compile_rule_templates(
     const Rule& rule, const ComponentSpec& spec, const RuleContext& ctx) {
   std::vector<CompiledTemplate> out;
@@ -433,7 +439,6 @@ std::vector<CompiledTemplate> compile_rule_templates(
     }
     TimingPlan plan = TimingPlan::compile(tmpl, topo, child_spec_ptrs);
     ct.tmpl = std::make_shared<const Module>(std::move(tmpl));
-    ct.topo = std::make_shared<const EvalSchedule>(std::move(topo));
     ct.plan = std::make_shared<const TimingPlan>(std::move(plan));
     out.push_back(std::move(ct));
   }
@@ -488,8 +493,8 @@ void DesignSpace::expand_node(SpecNode* node) {
     // what pins the entry (see TemplateCache::evict_locked).
     TemplateCache::EntryPtr cached;
     const std::vector<CompiledTemplate>* compiled = nullptr;
-    std::vector<CompiledTemplate> local;  // cache-off / uncacheable rules
-    if (options_.use_template_cache && rule->cacheable()) {
+    std::vector<CompiledTemplate> local;  // uncacheable rules
+    if (rule->cacheable()) {
       // The key always carries the rule's slice fingerprint — that is
       // what makes sharing the process-wide cache across libraries
       // *sound* (a LambdaRule with private behavior gets a private key;
@@ -532,7 +537,6 @@ void DesignSpace::expand_node(SpecNode* node) {
       auto impl = std::make_unique<ImplNode>();
       impl->rule_name = rule->name();
       impl->tmpl = ct.tmpl;
-      impl->topo = ct.topo;
       impl->plan = ct.plan;
       impl->children = std::move(children);
       slice_fp = base::fp_u64(slice_fp, 2);
@@ -663,76 +667,6 @@ EvalSchedule DesignSpace::topo_order(const Module& tmpl) {
     throw Error("combinational cycle in template " + tmpl.name());
   }
   return order;
-}
-
-Metric DesignSpace::eval_template(
-    const Module& tmpl, const EvalSchedule& topo,
-    const std::function<Metric(const ComponentSpec&)>& child_metric) {
-  const auto& insts = tmpl.instances();
-  const auto views = make_views(tmpl);
-  Metric total;
-  double worst_path = 0.0;
-
-  // Arrival time per net bit.
-  std::vector<std::vector<double>> arrival(tmpl.nets().size());
-  for (size_t nn = 0; nn < tmpl.nets().size(); ++nn) {
-    arrival[nn].assign(tmpl.nets()[nn].width, 0.0);
-  }
-
-  auto write_port = [&](int i, base::Symbol port, double t) {
-    for (const auto& [pname, conn, width] : views[i].outs) {
-      if (pname != port || conn.kind != PortConn::Kind::kNet) continue;
-      for (int b = 0; b < width; ++b) {
-        double& a = arrival[conn.net][conn.lo + b];
-        a = std::max(a, t);
-      }
-    }
-  };
-  auto in_arrival = [&](int i, const base::Symbol* out_port) {
-    double a = 0.0;
-    for (const auto& [in_port, conn, width] : views[i].ins) {
-      if (conn.kind != PortConn::Kind::kNet) continue;
-      if (out_port != nullptr &&
-          !genus::output_depends_on(insts[i].spec, *out_port, in_port)) {
-        continue;
-      }
-      const int span = conn.replicate ? 1 : width;
-      for (int b = 0; b < span; ++b) {
-        a = std::max(a, arrival[conn.net][conn.lo + b]);
-      }
-    }
-    return a;
-  };
-
-  // Area, and clock-to-q launch for sequential instances.
-  std::vector<int> seq_insts;
-  std::vector<double> inst_delay(insts.size(), 0.0);
-  for (int i = 0; i < static_cast<int>(insts.size()); ++i) {
-    Metric m = child_metric(insts[i].spec);
-    total.area += m.area;
-    inst_delay[i] = m.delay;
-    if (views[i].sequential) {
-      seq_insts.push_back(i);
-      for (const auto& [pname, conn, width] : views[i].outs) {
-        (void)conn;
-        (void)width;
-        write_port(i, pname, m.delay);
-      }
-      worst_path = std::max(worst_path, m.delay);
-    }
-  }
-  for (const EvalStep& step : topo) {
-    double t = in_arrival(step.instance, &step.port) +
-               inst_delay[step.instance];
-    write_port(step.instance, step.port, t);
-    worst_path = std::max(worst_path, t);
-  }
-  // Paths terminating at sequential inputs (register setup).
-  for (int i : seq_insts) {
-    worst_path = std::max(worst_path, in_arrival(i, nullptr));
-  }
-  total.delay = worst_path;
-  return total;
 }
 
 std::vector<Alternative> DesignSpace::filter_alternatives(
@@ -1069,75 +1003,13 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
   stats.odometer_shards += num_shards;
 }
 
-void DesignSpace::run_reference_odometer(const Module& tmpl,
-                                         const EvalSchedule& topo,
-                                         const std::vector<SpecNode*>& children,
-                                         const std::vector<int>& limit,
-                                         int impl_index,
-                                         std::vector<Alternative>& candidates) {
-  run_reference_odometer(tmpl, topo, children, limit, impl_index, candidates,
-                         stats_);
-}
-
-void DesignSpace::run_reference_odometer(const Module& tmpl,
-                                         const EvalSchedule& topo,
-                                         const std::vector<SpecNode*>& children,
-                                         const std::vector<int>& limit,
-                                         int impl_index,
-                                         std::vector<Alternative>& candidates,
-                                         SpaceStats& stats) {
-  // Reference path: the original functional evaluator, kept verbatim for
-  // equivalence testing and as the bench baseline.
-  static obs::Counter& evaluated_counter =
-      obs::Registry::global().counter("dtas.evaluate.combinations.evaluated");
-  obs::Span span("odometer", "dtas");
-  long evaluated = 0;
-  long seen = 0;
-  const int n = static_cast<int>(children.size());
-  std::vector<int> choice(n, 0);
-  for (;;) {
-    if (seen++ % kBoundExchangePeriod == 0) {
-      // Same per-chunk checkpoint cadence as the compiled path (the
-      // reference odometer is always serial per node, so the deadline
-      // helper — which throws or records a best-effort hit in `stats` —
-      // applies directly).
-      base::FaultInjector::global().probe("dtas.evaluate.plan");
-      if (deadline_poll(stats)) break;
-    }
-    auto metric_of = [&](const ComponentSpec& spec) -> Metric {
-      for (int c = 0; c < n; ++c) {
-        if (children[c]->spec == spec) {
-          return children[c]->alts[choice[c]].metric;
-        }
-      }
-      throw Error("template child spec not found: " + spec.key());
-    };
-    Alternative alt;
-    alt.impl_index = impl_index;
-    alt.child_alt = choice;
-    alt.metric = eval_template(tmpl, topo, metric_of);
-    ++stats.combinations_evaluated;
-    ++evaluated;
-    candidates.push_back(std::move(alt));
-
-    int c = 0;
-    while (c < n && ++choice[c] >= limit[c]) {
-      choice[c] = 0;
-      ++c;
-    }
-    if (c == n) break;
-  }
-  evaluated_counter.add(evaluated);
-}
-
 void DesignSpace::evaluate(SpecNode* node) {
   obs::Span span(eval_depth_ == 0 ? "evaluate" : nullptr, "dtas");
   DepthGuard depth(eval_depth_);
   if (node->evaluated) return;
-  if (options_.node_parallel && threads_ > 1 && eval_depth_ == 1) {
+  if (threads_ > 1 && eval_depth_ == 1) {
     // Top-level entry with a pool available: levelize and fan out. The
-    // recursive serial path below stays the reference (and the only path
-    // at threads == 1 or with the toggle off).
+    // recursive serial path below is the threads == 1 path.
     evaluate_parallel(node);
     return;
   }
@@ -1296,14 +1168,8 @@ void DesignSpace::evaluate_impls(SpecNode* node, EvalScratch& scratch,
 
     // Odometer over child alternative choices (uniform-implementation
     // constraint: one choice per *distinct* child spec).
-    if (options_.use_compiled_plan) {
-      run_plan_odometer(*impl->plan, impl->children, limit,
-                        static_cast<int>(ii), front, candidates, scratch,
-                        stats);
-    } else {
-      run_reference_odometer(*impl->tmpl, *impl->topo, impl->children, limit,
-                             static_cast<int>(ii), candidates, stats);
-    }
+    run_plan_odometer(*impl->plan, impl->children, limit,
+                      static_cast<int>(ii), front, candidates, scratch, stats);
   }
   node->alts = filter_alternatives(std::move(candidates));
 }

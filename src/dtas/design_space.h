@@ -54,11 +54,11 @@ struct SpecNode;
 
 /// One alternative implementation of a specification.
 ///
-/// Decomposition products (template, schedule, plan) are immutable after
-/// creation and shared: every design space expanding the same (rule, spec)
-/// points at one copy served by the global TemplateCache, so a cache hit
-/// costs three refcount bumps instead of re-running TemplateBuilder string
-/// assembly and plan compilation.
+/// Decomposition products (template, plan) are immutable after creation
+/// and shared: every design space expanding the same (rule, spec) points at
+/// one copy served by the global TemplateCache, so a cache hit costs two
+/// refcount bumps instead of re-running TemplateBuilder string assembly,
+/// scheduling, and plan compilation.
 struct ImplNode {
   /// Leaf: the matched library cell (functional match). Null for decomps.
   const cells::Cell* cell = nullptr;
@@ -68,8 +68,6 @@ struct ImplNode {
   /// Distinct child specification nodes, in deterministic order (parallel
   /// to the plan's distinct-child indices).
   std::vector<SpecNode*> children;
-  /// Topological evaluation schedule of the template (combinational only).
-  std::shared_ptr<const EvalSchedule> topo;
   /// Compiled evaluation program for the template (see timing_plan.h).
   /// Drives both the per-combination evaluator and extraction's
   /// instance→child resolution. Null for leaves.
@@ -82,13 +80,13 @@ struct ImplNode {
 /// The immutable product of one template of one Rule::expand application,
 /// compiled once and shared across design spaces: the template module, its
 /// distinct child specifications (first-occurrence instance order — the
-/// order child metrics are indexed in), and the evaluation schedule + plan
-/// (absent when the template was rejected for a combinational cycle, which
-/// is a property of the template itself).
+/// order child metrics are indexed in), and the timing plan (absent when
+/// the template was rejected for a combinational cycle, which is a property
+/// of the template itself). The topological schedule the plan is compiled
+/// from is not kept: nothing evaluates against it afterwards.
 struct CompiledTemplate {
   std::shared_ptr<const netlist::Module> tmpl;
   std::vector<genus::ComponentSpec> child_specs;
-  std::shared_ptr<const EvalSchedule> topo;
   std::shared_ptr<const TimingPlan> plan;
   bool rejected = false;  // combinational cycle in the template
 };
@@ -214,9 +212,10 @@ class TemplateCache {
   std::atomic<long> bytes_{0};
 };
 
-/// Parse a byte-budget text: a non-negative integer with an optional
-/// k / m / g (KiB / MiB / GiB) suffix, case-insensitive ("64m", "100000").
-/// Returns -1 when the text is empty or malformed.
+/// Parse a byte-budget text: decimal digits with an optional k / m / g
+/// (KiB / MiB / GiB) suffix, case-insensitive ("64m", "100000"). Returns
+/// -1 when the text is empty or malformed (a sign, whitespace, any other
+/// suffix) or when the byte count does not fit in a long.
 long parse_cache_budget(const std::string& text);
 
 /// BRIDGE_CACHE_BUDGET from the environment, parsed; -1 when unset or
@@ -274,26 +273,30 @@ struct SpaceOptions {
   /// what keeps the paper's alternative sets small (5 designs for the
   /// 64-bit ALU) instead of full of near-duplicates.
   double min_delay_gain = 0.10;
-  /// Evaluate odometer combinations through the compiled TimingPlan
-  /// (default) or through the original functional evaluator. The reference
-  /// path exists for equivalence testing and as the bench baseline; both
-  /// produce bit-identical metrics.
-  bool use_compiled_plan = true;
-  /// Bound-and-prune the odometer: skip a combination when its exact area
-  /// plus its delay lower bound is already dominated (with margin) by an
-  /// evaluated candidate, and discard it without storing when its exact
-  /// metrics are. Never changes the filtered front; automatically off
-  /// under FilterKind::kNone (which keeps dominated candidates) and on the
-  /// reference path.
-  bool bound_prune = true;
-  /// Threads applied to the sharded plan odometer. 0 means
-  /// hardware_concurrency; 1 preserves the fully serial pre-shard code
-  /// path (no pool is ever created). The parallel result is bit-identical
-  /// to the serial one at every thread count: shards cover contiguous
-  /// index ranges of the enumeration, keep private fronts, and are merged
-  /// back in shard order, so the candidate sequence the filter sees is
-  /// exactly the serial sequence (minus pruned candidates, which are
-  /// front-preserving by the bound-and-prune margin argument).
+  /// Threads applied to evaluation. 0 means hardware_concurrency; 1 runs
+  /// the fully serial recursion (no pool is ever created). Above 1, two
+  /// parallel axes share one pool:
+  ///  - node-parallel fan-out: evaluate() levelizes the un-evaluated
+  ///    sub-DAG and schedules each antichain (nodes whose children are all
+  ///    already evaluated) as one fork-join batch, so a single deep spec
+  ///    saturates all cores instead of only sweeps. Each node keeps its
+  ///    private candidate sequence, scratch, and front, and levels are
+  ///    merged in node order;
+  ///  - odometer sharding: large odometers split into contiguous index
+  ///    ranges with private fronts, merged back in shard order.
+  /// Either way the candidate sequence the filter sees is exactly the
+  /// serial sequence (minus pruned candidates, which are front-preserving
+  /// by the bound-and-prune margin argument), so fronts are bit-identical
+  /// at every thread count.
+  ///
+  /// Evaluation always runs the compiled TimingPlan odometer with
+  /// bound-and-prune: a combination is skipped when its exact area plus
+  /// its delay lower bound is already dominated (with margin) by an
+  /// evaluated candidate, and discarded without storing when its exact
+  /// metrics are. Pruning never changes the filtered front and is off
+  /// under FilterKind::kNone (which keeps dominated candidates). The
+  /// functional evaluator the plans replaced is the test oracle in
+  /// tests/eval_reference.h.
   int threads = 0;
   /// Shard granularity: an odometer is sharded only when it holds at
   /// least two shards of this many combinations; below that the serial
@@ -302,22 +305,6 @@ struct SpaceOptions {
   /// Shards per thread above the minimum shard size — more shards than
   /// threads lets dynamic task claiming level uneven prune rates.
   int shards_per_thread = 4;
-  /// Evaluate independent SpecNodes of one expansion DAG in parallel:
-  /// evaluate() levelizes the un-evaluated sub-DAG and schedules each
-  /// antichain (nodes whose children are all already evaluated) as one
-  /// fork-join batch on the same pool the odometer shards use, so a single
-  /// deep spec saturates all cores instead of only sweeps. Per-node
-  /// evaluation is unchanged — each node keeps its private candidate
-  /// sequence, scratch, and front, and levels are merged in node order —
-  /// so fronts are bit-identical at every thread count and with this
-  /// toggle off (the serial recursive path, kept as the reference).
-  /// Inert at threads == 1.
-  bool node_parallel = true;
-  /// Serve rule expansions from the process-wide TemplateCache (and
-  /// publish misses into it). Off, every expansion re-runs TemplateBuilder
-  /// and plan compilation — kept for equivalence testing; the resulting
-  /// design space is bit-identical either way.
-  bool use_template_cache = true;
   /// Non-empty: start the process span tracer (obs::Tracer) into this
   /// file when the space is constructed, as if BRIDGE_TRACE had been set
   /// — the programmatic hook for tracing one synthesis. The first path
@@ -463,14 +450,6 @@ class DesignSpace {
   /// Deadline directly (see run_plan_odometer).
   bool deadline_exceeded();
 
-  /// Evaluate a template's metrics given per-child-spec metrics: area is
-  /// the sum over instances, delay the longest structural path (sequential
-  /// instances act as path sources/sinks with their clock-to-q delay).
-  /// Arrival times are tracked per net *bit*.
-  static Metric eval_template(
-      const netlist::Module& tmpl, const EvalSchedule& topo,
-      const std::function<Metric(const genus::ComponentSpec&)>& child_metric);
-
   /// Topological evaluation schedule over (instance, output port) units
   /// with bit-granular dependencies. Throws Error on a real combinational
   /// cycle.
@@ -494,14 +473,6 @@ class DesignSpace {
                          const std::vector<int>& limit, int impl_index,
                          ParetoFront& front,
                          std::vector<Alternative>& candidates);
-
-  /// The same odometer on the reference functional evaluator (the
-  /// pre-plan code path, kept verbatim for equivalence testing).
-  void run_reference_odometer(const netlist::Module& tmpl,
-                              const EvalSchedule& topo,
-                              const std::vector<SpecNode*>& children,
-                              const std::vector<int>& limit, int impl_index,
-                              std::vector<Alternative>& candidates);
 
   /// Shrink per-child alternative limits until their product fits `cap`
   /// (largest limit first).
@@ -535,25 +506,17 @@ class DesignSpace {
   /// of stats_.
   bool deadline_poll(SpaceStats& stats);
 
-  /// Explicit-scratch/stats overloads of the public odometers, so
+  /// Explicit-scratch/stats overload of the public odometer, so
   /// node-parallel workers enumerate without touching the shared members.
   void run_plan_odometer(const TimingPlan& plan,
                          const std::vector<SpecNode*>& children,
                          const std::vector<int>& limit, int impl_index,
                          ParetoFront& front, std::vector<Alternative>& candidates,
                          EvalScratch& scratch, SpaceStats& stats);
-  void run_reference_odometer(const netlist::Module& tmpl,
-                              const EvalSchedule& topo,
-                              const std::vector<SpecNode*>& children,
-                              const std::vector<int>& limit, int impl_index,
-                              std::vector<Alternative>& candidates,
-                              SpaceStats& stats);
 
   /// Whether bound-and-prune applies under the current options (it must
   /// stay off when the filter keeps dominated candidates).
-  bool prune_enabled() const {
-    return options_.bound_prune && options_.filter != FilterKind::kNone;
-  }
+  bool prune_enabled() const { return options_.filter != FilterKind::kNone; }
 
   /// The lazily created odometer pool (threads_ - 1 workers; the calling
   /// thread is the remaining one). Never created when threads_ == 1.

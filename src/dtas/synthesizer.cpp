@@ -626,12 +626,11 @@ std::vector<AlternativeDesign> Synthesizer::synthesize_netlist(
   // instance->child map also drives materialization.
   std::unique_ptr<TimingPlan> plan;
   const auto odometer = [&](const std::vector<SpecNode*>& children) {
-    const EvalSchedule topo = DesignSpace::topo_order(input);
     std::vector<const ComponentSpec*> child_specs;
     child_specs.reserve(children.size());
     for (const SpecNode* c : children) child_specs.push_back(&c->spec);
-    plan = std::make_unique<TimingPlan>(
-        TimingPlan::compile(input, topo, child_specs));
+    plan = std::make_unique<TimingPlan>(TimingPlan::compile(
+        input, DesignSpace::topo_order(input), child_specs));
 
     // Odometer over per-spec choices (uniform across the whole netlist) —
     // the same hot loop as per-implementation evaluation, one level up.
@@ -645,14 +644,9 @@ std::vector<AlternativeDesign> Synthesizer::synthesize_netlist(
     DesignSpace::trim_limits(limit,
                              space_->options().max_combinations_per_impl);
     std::vector<Alternative> candidates;
-    if (space_->options().use_compiled_plan) {
-      ParetoFront front;
-      space_->run_plan_odometer(*plan, children, limit, /*impl_index=*/0,
-                                front, candidates);
-    } else {
-      space_->run_reference_odometer(input, topo, children, limit,
-                                     /*impl_index=*/0, candidates);
-    }
+    ParetoFront front;
+    space_->run_plan_odometer(*plan, children, limit, /*impl_index=*/0, front,
+                              candidates);
     return space_->filter_alternatives(std::move(candidates));
   };
   const auto build = [&](const std::vector<SpecNode*>& children,

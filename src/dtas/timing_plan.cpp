@@ -14,7 +14,7 @@ using netlist::PortConn;
 namespace {
 
 /// A writer of one net bit: the DAG node that drives it, plus its schedule
-/// position (-1 for sequential launches, which the reference evaluator
+/// position (-1 for sequential launches, which the functional evaluator
 /// writes before any combinational step runs).
 struct BitWriter {
   int node = -1;
@@ -109,7 +109,7 @@ TimingPlan TimingPlan::compile(
   // every writer of every selected input bit that has already run by
   // schedule position `before` (INT_MAX collects everything, which is what
   // sequential setup checks see — they run after all steps). This is
-  // exactly the set of values the reference evaluator's arrival-buffer
+  // exactly the set of values the functional evaluator's arrival-buffer
   // read would have observed, so collapsing the bits preserves bit-exact
   // results.
   std::vector<int> scratch;

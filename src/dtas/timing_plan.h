@@ -2,14 +2,15 @@
 //
 // DTAS's search control (paper §5) only works because evaluating one
 // candidate out of "several hundred thousand to several million alternative
-// designs" is cheap. The functional evaluator
-// (DesignSpace::eval_template) re-derives everything per call: it rebuilds
-// string-keyed port views, resolves port directions through
+// designs" is cheap. A functional evaluator re-derives everything per call:
+// it rebuilds string-keyed port views, resolves port directions through
 // genus::find_port, allocates per-net arrival vectors, and re-reads
 // per-bit arrival times — for every odometer combination of the same
-// template.
+// template. DTAS evaluated that way before timing plans; that evaluator is
+// now the test and bench oracle (tests/eval_reference.h).
 //
-// A TimingPlan compiles a template once, when its ImplNode is created.
+// A TimingPlan compiles a template once, when its rule application is
+// compiled (and then shared through the template cache).
 // The key observation is that the bit-granular arrival buffer is only an
 // intermediate encoding: every net bit has a fixed set of writers, so the
 // bit-level propagation collapses into a step DAG whose edges are
@@ -23,7 +24,7 @@
 // The plan reproduces the functional evaluator bit-for-bit: area is summed
 // in instance order (not grouped per child, which would reassociate
 // floating-point addition), and each step applies the same max/add
-// operations to the same operand values the reference evaluator reads out
+// operations to the same operand values the functional evaluator reads out
 // of its arrival buffer.
 #pragma once
 
@@ -73,6 +74,8 @@ class TimingPlan {
   bool compiled() const { return compiled_; }
   int num_children() const { return static_cast<int>(child_on_path_.size()); }
   int num_instances() const { return static_cast<int>(inst_child_.size()); }
+  /// Combinational steps: one per entry of the schedule compiled from.
+  int num_steps() const { return static_cast<int>(steps_.size()); }
 
   /// Distinct-child index of each template instance, in instance order.
   /// Extraction uses this instead of re-scanning children by spec.

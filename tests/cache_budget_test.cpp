@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,19 @@ TEST(CacheBudgetTest, ParseCacheBudget) {
   EXPECT_EQ(dtas::parse_cache_budget("abc"), -1);
   EXPECT_EQ(dtas::parse_cache_budget("12x"), -1);
   EXPECT_EQ(dtas::parse_cache_budget("12kb"), -1);
-  EXPECT_LE(dtas::parse_cache_budget("-5"), 0);
+  // A sign or leading whitespace is malformed, not a budget.
+  EXPECT_EQ(dtas::parse_cache_budget("-5"), -1);
+  EXPECT_EQ(dtas::parse_cache_budget("+5"), -1);
+  EXPECT_EQ(dtas::parse_cache_budget(" 7"), -1);
+  // So is any value whose scaled byte count does not fit in a long.
+  EXPECT_EQ(dtas::parse_cache_budget("17179869185g"), -1);
+  EXPECT_EQ(dtas::parse_cache_budget("9223372036854775807k"), -1);
+  EXPECT_EQ(dtas::parse_cache_budget("9223372036854775808"), -1);
+  EXPECT_EQ(dtas::parse_cache_budget("99999999999999999999"), -1);
+  // The largest representable budgets still parse.
+  EXPECT_EQ(dtas::parse_cache_budget("9223372036854775807"),
+            std::numeric_limits<long>::max());
+  EXPECT_EQ(dtas::parse_cache_budget("8589934591g"), 8589934591L << 30);
 }
 
 TEST(CacheBudgetTest, ModuleFootprintGrowsWithContent) {

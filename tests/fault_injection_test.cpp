@@ -24,6 +24,7 @@
 #include "cells/cell.h"
 #include "dtas/design_space.h"
 #include "dtas/synthesizer.h"
+#include "eval_reference.h"
 #include "genus/spec.h"
 #include "vhdl/vhdl.h"
 
@@ -212,12 +213,12 @@ TEST(FaultToleranceTest, ExtractionFaultThenRetry) {
 TEST(FaultToleranceTest, TemplateCacheInsertFaultLeavesNoPartialEntry) {
   DisarmGuard guard;
   const ComponentSpec spec = genus::make_adder_spec(27);  // unique: cold
-  // The baseline runs with the template cache off (bit-identical by
-  // contract) so it does NOT pre-publish this spec's rules — the faulted
-  // run below must be the first inserter.
-  SpaceOptions no_tc;
-  no_tc.use_template_cache = false;
-  dtas::Synthesizer baseline(cells::lsi_library(), no_tc);
+  // The baseline runs on uncacheable rules (bit-identical by contract) so
+  // it does NOT pre-publish this spec's rules — the faulted run below must
+  // be the first inserter.
+  dtas::Synthesizer baseline(dtas::reference::uncacheable(
+                                 dtas::default_rules_for(cells::lsi_library())),
+                             cells::lsi_library());
   const FrontRecord expect = record_front(baseline.synthesize(spec));
 
   const auto before = dtas::TemplateCache::global().snapshot();

@@ -21,6 +21,7 @@
 #include "dtas/design_space.h"
 #include "dtas/rule.h"
 #include "dtas/synthesizer.h"
+#include "eval_reference.h"
 #include "genus/optype.h"
 #include "genus/spec.h"
 #include "lint/lint.h"
@@ -465,7 +466,8 @@ TEST(LintSweep, FrontsLintCleanAcrossTogglesAndThreads) {
   };
   // The verify=false run is the byte-identity reference; every other
   // config runs with post-extraction verification on (the throw path),
-  // covering the template-cache toggle and thread counts.
+  // covering cached and uncacheable rule bases (tests/eval_reference.h)
+  // and thread counts.
   const std::vector<Config> configs = {
       {true, 1, false},  // reference
       {true, 1, true},  {false, 1, true},
@@ -477,10 +479,13 @@ TEST(LintSweep, FrontsLintCleanAcrossTogglesAndThreads) {
     for (std::size_t ci = 0; ci < configs.size(); ++ci) {
       const Config& cfg = configs[ci];
       dtas::SpaceOptions opt;
-      opt.use_template_cache = cfg.template_cache;
       opt.threads = cfg.threads;
       opt.verify_designs = cfg.verify;
-      dtas::Synthesizer synth(*lib, opt);
+      dtas::RuleBase rules = dtas::default_rules_for(*lib);
+      if (!cfg.template_cache) {
+        rules = dtas::reference::uncacheable(std::move(rules));
+      }
+      dtas::Synthesizer synth(std::move(rules), *lib, opt);
 
       std::vector<std::vector<dtas::AlternativeDesign>> fronts;
       for (const genus::ComponentSpec& spec : specs) {

@@ -25,6 +25,7 @@
 #include "base/thread_pool.h"
 #include "cells/registry.h"
 #include "dtas/synthesizer.h"
+#include "eval_reference.h"
 #include "liberty/liberty.h"
 #include "netlist/netlist.h"
 
@@ -185,15 +186,32 @@ TEST(ParallelEvaluation, NetlistFrontsIdenticalAcrossThreadCounts) {
 
 TEST(ParallelEvaluation, MatchesReferenceEvaluatorAtEightThreads) {
   // Ties the parallel compiled evaluator all the way back to the original
-  // functional evaluator in one step.
+  // functional evaluator (tests/eval_reference.h) in one step: the
+  // netlist-level alternatives of the sharded plan odometer, run on the
+  // 8-thread space's own evaluated children, must equal the serial
+  // unpruned reference odometer's exactly, and so must the metrics of the
+  // front synthesize_netlist extracted at 8 threads.
   const netlist::Module input = make_datapath();
-  dtas::SpaceOptions reference = sweep_options(1);
-  reference.use_compiled_plan = false;
-  reference.bound_prune = false;
   dtas::Synthesizer a(cells::lsi_library(), sweep_options(8));
-  dtas::Synthesizer b(cells::lsi_library(), reference);
-  expect_identical(a.synthesize_netlist(input), b.synthesize_netlist(input),
-                   "8-thread compiled vs serial reference");
+  const Front front = a.synthesize_netlist(input);
+  const std::vector<dtas::Alternative> compiled =
+      dtas::reference::compiled_netlist_alternatives(a.space(), input);
+  EXPECT_GT(a.space().stats().parallel_odometers, 0)
+      << "the 8-thread side must actually shard";
+
+  dtas::Synthesizer b(cells::lsi_library(), sweep_options(1));
+  const dtas::reference::NetlistFront reference =
+      dtas::reference::netlist_front(b.space(), input);
+  ASSERT_FALSE(reference.alts.empty());
+  EXPECT_TRUE(dtas::reference::identical(compiled, reference.alts))
+      << "8-thread plan odometer vs serial reference odometer";
+  ASSERT_EQ(front.size(), reference.alts.size());
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    EXPECT_EQ(front[i].metric.area, reference.alts[i].metric.area)
+        << "alt " << i;
+    EXPECT_EQ(front[i].metric.delay, reference.alts[i].metric.delay)
+        << "alt " << i;
+  }
 }
 
 TEST(ParallelEvaluation, EnumerationAccountingInvariant) {
@@ -227,11 +245,11 @@ TEST(ParallelEvaluation, SerialAtOneThreadNeverCreatesAPool) {
 }
 
 TEST(ParallelEvaluation, NodeParallelEngagesAndMatchesSerial) {
-  // The antichain fan-out (SpaceOptions::node_parallel) is the second
-  // parallel axis: independent SpecNodes of one expansion DAG evaluated
-  // as pool batches. Contract: it actually engages on a real workload at
-  // threads > 1, and the front is bit-identical to both the serial run
-  // and the odometer-only parallel run.
+  // The antichain fan-out is the second parallel axis (see
+  // SpaceOptions::threads): independent SpecNodes of one expansion DAG
+  // evaluated as pool batches. Contract: it actually engages on a real
+  // workload at threads > 1, and the front is bit-identical to the serial
+  // run.
   const ComponentSpec alu = genus::make_alu_spec(16, genus::alu16_ops());
   for (const cells::CellLibrary* lib : registry().all()) {
     dtas::Synthesizer serial(*lib, sweep_options(1));
@@ -247,14 +265,6 @@ TEST(ParallelEvaluation, NodeParallelEngagesAndMatchesSerial) {
                           "antichains, so the fan-out must engage";
     EXPECT_GT(node_par.space().stats().node_parallel_levels, 0)
         << lib->name();
-
-    dtas::SpaceOptions odometer_only = sweep_options(8);
-    odometer_only.node_parallel = false;
-    dtas::Synthesizer no_fanout(*lib, odometer_only);
-    expect_identical(no_fanout.synthesize(alu), base,
-                     lib->name() + " node_parallel off vs serial");
-    EXPECT_EQ(no_fanout.space().stats().node_parallel_nodes, 0)
-        << lib->name() << ": the toggle must fully disable the fan-out";
   }
 }
 

@@ -1,16 +1,23 @@
 // Compiled-evaluator equivalence and bound-and-prune invariance.
 //
-// The TimingPlan evaluator (SpaceOptions::use_compiled_plan, the default)
-// must reproduce the reference functional evaluator bit-for-bit: same
-// alternative count, exactly equal metric doubles, same descriptions —
-// across every component family DTAS synthesizes and across all three
-// registry libraries (the LSI and TTL built-ins plus the bundled Liberty
-// import). Bound-and-prune must never change the filtered front under any
+// The TimingPlan evaluator with bound-and-prune (the library's only
+// evaluation path) must reproduce the reference functional evaluator
+// (tests/eval_reference.h: serial, unpruned) bit-for-bit at every node of
+// the design space: same alternatives in the same order — implementation,
+// child choices, exactly equal metric doubles — for every evaluated
+// SpecNode, and the same extracted fronts and descriptions, across every
+// component family DTAS synthesizes, all three registry libraries (the LSI
+// and TTL built-ins plus the bundled Liberty import), serial and parallel
+// evaluation, and both the favorable-tradeoff and the dense-sweep filter.
+// Pruning must never change the filtered front under any
 // dominance-respecting filter, and must stay off under FilterKind::kNone.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cells/registry.h"
 #include "dtas/synthesizer.h"
+#include "eval_reference.h"
 #include "liberty/liberty.h"
 #include "netlist/netlist.h"
 
@@ -96,83 +103,184 @@ void expect_identical(const Front& a, const Front& b,
   }
 }
 
+/// Exact alternative-list equality: implementation index, child choices,
+/// and both metric doubles.
+void expect_identical(const std::vector<dtas::Alternative>& a,
+                      const std::vector<dtas::Alternative>& b,
+                      const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].impl_index, b[i].impl_index) << context << " alt " << i;
+    EXPECT_EQ(a[i].child_alt, b[i].child_alt) << context << " alt " << i;
+    EXPECT_EQ(a[i].metric.area, b[i].metric.area) << context << " alt " << i;
+    EXPECT_EQ(a[i].metric.delay, b[i].metric.delay)
+        << context << " alt " << i;
+  }
+}
+
+/// Compare every SpecNode the compiled evaluation reached with the same
+/// spec in the reference space: alternatives and dead-implementation
+/// flags. Node-parallel evaluation (threads > 1) may evaluate nodes the
+/// serial recursion skips (children of an implementation behind a dead
+/// sibling); those are evaluated on the reference side on demand, so no
+/// compiled node goes unchecked. Returns the number of nodes compared.
+int expect_graphs_identical(dtas::DesignSpace& reference,
+                            const dtas::SpecNode* compiled,
+                            std::set<const dtas::SpecNode*>& visited,
+                            const std::string& context) {
+  if (!compiled->evaluated || !visited.insert(compiled).second) return 0;
+  dtas::SpecNode* ref = reference.expand(compiled->spec);
+  dtas::reference::evaluate(reference, ref);
+  const std::string where = context + " @" + compiled->spec.key();
+  expect_identical(compiled->alts, ref->alts, where);
+  int compared = 1;
+  EXPECT_EQ(compiled->impls.size(), ref->impls.size()) << where;
+  for (size_t i = 0; i < compiled->impls.size() && i < ref->impls.size();
+       ++i) {
+    EXPECT_EQ(compiled->impls[i]->dead, ref->impls[i]->dead)
+        << where << " impl " << i;
+    for (const dtas::SpecNode* child : compiled->impls[i]->children) {
+      compared += expect_graphs_identical(reference, child, visited, context);
+    }
+  }
+  return compared;
+}
+
+/// Synthesize `spec` on the compiled evaluator, then on the reference
+/// evaluator (a threads = 1 space with the same filter options), and
+/// require identical alternatives at every evaluated node and identical
+/// extracted fronts. The reference front is extracted by synthesize() from
+/// the reference alternatives.
+void expect_matches_reference(const cells::CellLibrary& lib,
+                              const ComponentSpec& spec,
+                              const dtas::SpaceOptions& compiled_options,
+                              const std::string& context) {
+  dtas::Synthesizer compiled(lib, compiled_options);
+  const Front front = compiled.synthesize(spec);
+
+  dtas::SpaceOptions reference_options = compiled_options;
+  reference_options.threads = 1;
+  dtas::Synthesizer reference(lib, reference_options);
+  dtas::reference::evaluate(reference.space(),
+                            reference.space().expand(spec));
+  const Front reference_front = reference.synthesize(spec);
+  EXPECT_EQ(reference.space().stats().combinations_evaluated, 0)
+      << context << ": synthesize must extract the reference alternatives, "
+                    "not re-evaluate them";
+  expect_identical(front, reference_front, context);
+
+  std::set<const dtas::SpecNode*> visited;
+  const int compared = expect_graphs_identical(
+      reference.space(), compiled.space().expand(spec), visited, context);
+  EXPECT_GT(compared, 0) << context;
+}
+
+/// The same comparison for whole-netlist synthesis: per-spec alternatives
+/// at every evaluated node, the netlist-level alternatives of the compiled
+/// plan odometer against the reference odometer, and the extracted
+/// front's metrics against the reference front.
+void expect_netlist_matches_reference(const cells::CellLibrary& lib,
+                                      const netlist::Module& input,
+                                      const dtas::SpaceOptions& options,
+                                      const std::string& context) {
+  dtas::Synthesizer compiled(lib, options);
+  const Front front = compiled.synthesize_netlist(input);
+  const std::vector<dtas::Alternative> compiled_alts =
+      dtas::reference::compiled_netlist_alternatives(compiled.space(), input);
+
+  dtas::SpaceOptions reference_options = options;
+  reference_options.threads = 1;
+  dtas::Synthesizer reference(lib, reference_options);
+  const dtas::reference::NetlistFront ref =
+      dtas::reference::netlist_front(reference.space(), input);
+  ASSERT_FALSE(ref.alts.empty()) << context;
+  expect_identical(compiled_alts, ref.alts, context + " netlist odometer");
+  ASSERT_EQ(front.size(), ref.alts.size()) << context;
+  for (size_t i = 0; i < front.size(); ++i) {
+    EXPECT_EQ(front[i].metric.area, ref.alts[i].metric.area)
+        << context << " alt " << i;
+    EXPECT_EQ(front[i].metric.delay, ref.alts[i].metric.delay)
+        << context << " alt " << i;
+  }
+  std::set<const dtas::SpecNode*> visited;
+  for (const dtas::SpecNode* root :
+       dtas::reference::netlist_roots(compiled.space(), input)) {
+    expect_graphs_identical(reference.space(), root, visited, context);
+  }
+}
+
 TEST(TimingPlanEquivalence, MatchesReferenceEvaluatorAcrossLibraries) {
   ASSERT_EQ(registry().size(), 3);
   for (const cells::CellLibrary* lib : registry().all()) {
     for (const auto& [label, spec] : test_specs()) {
-      dtas::SpaceOptions compiled;  // defaults: plan + prune
-      dtas::SpaceOptions reference;
-      reference.use_compiled_plan = false;
-      reference.bound_prune = false;
-      const Front a = synthesize_with(*lib, spec, compiled);
-      const Front b = synthesize_with(*lib, spec, reference);
-      expect_identical(a, b, lib->name() + "/" + label);
+      for (int threads : {1, 8}) {
+        // The default favorable-tradeoff filter, and min_delay_gain = 0,
+        // which keeps every non-dominated candidate — the regime where the
+        // odometer (and the pruner) does real work.
+        for (double gain : {dtas::SpaceOptions{}.min_delay_gain, 0.0}) {
+          dtas::SpaceOptions compiled;
+          compiled.threads = threads;
+          compiled.min_delay_gain = gain;
+          expect_matches_reference(
+              *lib, spec, compiled,
+              lib->name() + "/" + label + " t" + std::to_string(threads) +
+                  " gain " + std::to_string(gain));
+        }
+      }
     }
   }
 }
 
-TEST(TimingPlanEquivalence, DenseSweepMatchesReference) {
-  // min_delay_gain = 0 keeps every non-dominated candidate, the regime
-  // where the odometer (and the pruner) does real work.
-  for (const cells::CellLibrary* lib : registry().all()) {
-    dtas::SpaceOptions compiled;
-    compiled.min_delay_gain = 0.0;
-    dtas::SpaceOptions reference = compiled;
-    reference.use_compiled_plan = false;
-    reference.bound_prune = false;
-    const ComponentSpec spec = genus::make_alu_spec(16, genus::alu16_ops());
-    expect_identical(synthesize_with(*lib, spec, compiled),
-                     synthesize_with(*lib, spec, reference),
-                     lib->name() + "/Alu16Sweep");
-  }
-}
-
 TEST(PruneInvariance, PruningNeverChangesTheFront) {
+  long pruned = 0;
   for (const auto& [label, spec] : test_specs()) {
-    dtas::SpaceOptions pruned;  // default: prune on
-    dtas::SpaceOptions unpruned;
-    unpruned.bound_prune = false;
-    expect_identical(
-        synthesize_with(cells::lsi_library(), spec, pruned),
-        synthesize_with(cells::lsi_library(), spec, unpruned), label);
+    expect_matches_reference(cells::lsi_library(), spec, {}, label);
+    dtas::Synthesizer synth(cells::lsi_library());
+    synth.synthesize(spec);
+    pruned += synth.space().stats().combinations_pruned;
   }
+  // The comparison above only means something if pruning engaged.
+  EXPECT_GT(pruned, 0);
 }
 
 TEST(PruneInvariance, HoldsUnderEveryFilterKind) {
-  const ComponentSpec spec = genus::make_alu_spec(16, genus::alu16_ops());
+  const ComponentSpec alu = genus::make_alu_spec(16, genus::alu16_ops());
   for (dtas::FilterKind filter :
        {dtas::FilterKind::kPareto, dtas::FilterKind::kAreaOnly,
         dtas::FilterKind::kDelayOnly, dtas::FilterKind::kNone}) {
     dtas::SpaceOptions pruned;
     pruned.filter = filter;
     pruned.min_delay_gain = 0.0;
-    dtas::SpaceOptions unpruned = pruned;
-    unpruned.bound_prune = false;
-    dtas::SpaceStats pruned_stats;
-    expect_identical(
-        synthesize_with(cells::lsi_library(), spec, pruned, &pruned_stats),
-        synthesize_with(cells::lsi_library(), spec, unpruned),
-        "filter " + std::to_string(static_cast<int>(filter)));
-    if (filter == dtas::FilterKind::kNone) {
-      // kNone keeps dominated candidates, so pruning must not engage.
-      EXPECT_EQ(pruned_stats.combinations_pruned, 0);
+    const std::string context =
+        "filter " + std::to_string(static_cast<int>(filter));
+    if (filter != dtas::FilterKind::kNone) {
+      expect_matches_reference(cells::lsi_library(), alu, pruned, context);
+      continue;
     }
+    // kNone keeps dominated candidates, so pruning must not engage. Every
+    // candidate survives, so the unpruned reference walks ~200k
+    // combinations of the ALU's space (seconds, minutes under the thread
+    // sanitizer); the reference comparison uses an adder, whose kNone
+    // space still fills every node's 24-alternative cap.
+    dtas::SpaceStats pruned_stats;
+    synthesize_with(cells::lsi_library(), alu, pruned, &pruned_stats);
+    EXPECT_EQ(pruned_stats.combinations_pruned, 0) << context;
+    expect_matches_reference(cells::lsi_library(), genus::make_adder_spec(16),
+                             pruned, context + " adder16");
   }
 }
 
 TEST(PruneInvariance, StatsAccountForEveryCombination) {
-  dtas::SpaceOptions pruned;
-  dtas::SpaceOptions unpruned;
-  unpruned.bound_prune = false;
-  dtas::SpaceStats with_prune, without_prune;
+  dtas::SpaceStats with_prune;
   const ComponentSpec spec = genus::make_alu_spec(16, genus::alu16_ops());
-  synthesize_with(cells::lsi_library(), spec, pruned, &with_prune);
-  synthesize_with(cells::lsi_library(), spec, unpruned, &without_prune);
+  synthesize_with(cells::lsi_library(), spec, {}, &with_prune);
+  dtas::Synthesizer reference(cells::lsi_library());
+  const long enumerated = dtas::reference::evaluate(
+      reference.space(), reference.space().expand(spec));
   EXPECT_GT(with_prune.combinations_pruned, 0);
-  EXPECT_EQ(without_prune.combinations_pruned, 0);
   // Pruned or not, the odometer enumerates the same combinations.
   EXPECT_EQ(with_prune.combinations_evaluated + with_prune.combinations_pruned,
-            without_prune.combinations_evaluated);
+            enumerated);
 }
 
 netlist::Module make_test_datapath() {
@@ -226,16 +334,18 @@ netlist::Module make_test_datapath() {
 TEST(TimingPlanEquivalence, NetlistSynthesisMatchesReference) {
   const netlist::Module input = make_test_datapath();
   EXPECT_TRUE(netlist::check_module(input).empty());
-  for (double gain : {0.10, 0.0}) {
-    dtas::SpaceOptions compiled;
-    compiled.min_delay_gain = gain;
-    dtas::SpaceOptions reference = compiled;
-    reference.use_compiled_plan = false;
-    reference.bound_prune = false;
-    dtas::Synthesizer a(cells::lsi_library(), compiled);
-    dtas::Synthesizer b(cells::lsi_library(), reference);
-    expect_identical(a.synthesize_netlist(input), b.synthesize_netlist(input),
-                     "datapath gain " + std::to_string(gain));
+  for (const cells::CellLibrary* lib : registry().all()) {
+    for (int threads : {1, 8}) {
+      for (double gain : {0.10, 0.0}) {
+        dtas::SpaceOptions compiled;
+        compiled.min_delay_gain = gain;
+        compiled.threads = threads;
+        expect_netlist_matches_reference(
+            *lib, input, compiled,
+            lib->name() + " datapath t" + std::to_string(threads) +
+                " gain " + std::to_string(gain));
+      }
+    }
   }
 }
 
@@ -243,13 +353,18 @@ TEST(TimingPlanEquivalence, NetlistPruningNeverChangesTheFront) {
   const netlist::Module input = make_test_datapath();
   dtas::SpaceOptions pruned;
   pruned.min_delay_gain = 0.0;
-  dtas::SpaceOptions unpruned = pruned;
-  unpruned.bound_prune = false;
+  pruned.threads = 1;
+  expect_netlist_matches_reference(cells::lsi_library(), input, pruned,
+                                   "datapath prune invariance");
   dtas::Synthesizer a(cells::lsi_library(), pruned);
-  dtas::Synthesizer b(cells::lsi_library(), unpruned);
-  expect_identical(a.synthesize_netlist(input), b.synthesize_netlist(input),
-                   "datapath prune invariance");
+  a.synthesize_netlist(input);
   EXPECT_GT(a.space().stats().combinations_pruned, 0);
+  // Every combination the reference enumerates, the pruned odometers
+  // either evaluated or pruned.
+  dtas::Synthesizer b(cells::lsi_library(), pruned);
+  EXPECT_EQ(a.space().stats().combinations_evaluated +
+                a.space().stats().combinations_pruned,
+            dtas::reference::netlist_front(b.space(), input).combinations);
 }
 
 TEST(ParetoFront, StaircaseSemantics) {

@@ -7,7 +7,12 @@ machine* — `speedup` (reference evaluator wall / compiled evaluator wall)
 for the dense-sweep workloads — because absolute milliseconds are not
 comparable between the machine that committed the baseline and the CI
 runner, while the compiled-vs-reference ratio is: both evaluators run the
-same workload in the same process minutes apart.
+same workload in the same process minutes apart. The library evaluates
+only through the compiled, pruned odometer; the reference functional
+evaluator the benches compare against is the test oracle in
+tests/eval_reference.h. Every entry that reports `combinations_reference`
+must show the reference enumerating exactly the combinations the compiled
+arm evaluated or pruned, so `speedup` keeps comparing the same search.
 
 Thread-scaling entries (suite_t*) are reported but never gate: their
 speedup is bounded by the runner's core count, which the baseline machine
@@ -154,6 +159,23 @@ def load_entries(path):
     with open(path) as f:
         doc = json.load(f)
     return {e["name"]: e for e in doc.get("entries", [])}
+
+
+def check_reference_enumeration(fresh, failures):
+    """The reference arm must enumerate exactly what the compiled arm
+    attempted: combinations_reference == combinations_evaluated +
+    combinations_pruned on every entry that reports the first."""
+    for name, e in sorted(fresh.items()):
+        ref = e.get("combinations_reference")
+        if ref is None:
+            continue
+        attempted = (e.get("combinations_evaluated", 0) +
+                     e.get("combinations_pruned", 0))
+        if ref != attempted:
+            failures.append(
+                f"{name}: reference enumerated {ref:.0f} combinations, the "
+                f"compiled arm evaluated + pruned {attempted:.0f} — the "
+                "speedup no longer compares the same search")
 
 
 def check_parallel_health(fresh, failures):
@@ -417,6 +439,7 @@ def main():
                     f"{args.max_slowdown * 100:.0f}% allowed)")
         print(f"{name:40s} {bs:8.2f}x {fs:8.2f}x {ratio:6.2f}x  {verdict}")
 
+    check_reference_enumeration(fresh, failures)
     check_parallel_health(fresh, failures)
     check_retarget(fresh, failures)
     check_node_parallel(fresh, failures)
