@@ -7,8 +7,9 @@
 // evaluator (the pre-compiled-plan, unpruned evaluator, kept as the test
 // oracle in tests/eval_reference.h) — and both wall times land in
 // BENCH_synthesis.json, together with odometer statistics (combinations
-// evaluated / pruned, and the combinations the reference enumerated, which
-// must equal their sum) and design-space sizes. A spec workload's
+// evaluated / pruned, the part of the pruned ones ruled out as whole
+// blocks, and the combinations the reference enumerated, which must equal
+// evaluated + pruned) and design-space sizes. A spec workload's
 // reference arm is a whole synthesis (expand, reference evaluate, extract
 // from the reference alternatives); a netlist workload's stops at the
 // netlist-level reference front and does not extract. On top of that,
@@ -48,6 +49,7 @@
 #include "cells/cell.h"
 #include "dtas/synthesizer.h"
 #include "eval_reference.h"
+#include "sweep_datapath.h"
 #include "netlist/netlist.h"
 
 using namespace bridge;
@@ -58,6 +60,7 @@ struct RunResult {
   double wall_ms = 0.0;
   long evaluated = 0;
   long pruned = 0;
+  long skipped = 0;  // the part of `pruned` ruled out as whole blocks
   long parallel_odometers = 0;
   long odometer_shards = 0;
   int spec_nodes = 0;
@@ -73,126 +76,6 @@ struct RunResult {
     return total > 0 ? static_cast<double>(pruned) / total : 0.0;
   }
 };
-
-/// A 16-bit datapath of twelve distinct component specifications:
-/// registered operand -> 16-bit ALU -> adder -> subtractor -> shifter ->
-/// add/sub, with a byte-slice 8-bit ALU feeding an 8x8 multiplier, an XOR
-/// merge, a comparator, a 4:1 result mux, and an output register. Every
-/// instance spec is distinct, so the whole-netlist odometer has twelve
-/// independent choice digits — enough for the §5 combination counts once
-/// the per-spec filters keep more than one alternative each.
-netlist::Module make_datapath(int w) {
-  using genus::Op;
-  using genus::OpSet;
-  netlist::Module m("datapath" + std::to_string(w));
-  const auto A = m.add_port("A", genus::PortDir::kIn, w);
-  const auto B = m.add_port("B", genus::PortDir::kIn, w);
-  const auto C = m.add_port("C", genus::PortDir::kIn, w);
-  const auto D = m.add_port("D", genus::PortDir::kIn, w);
-  const auto F = m.add_port("F", genus::PortDir::kIn, 4);
-  const auto SHF = m.add_port("SHF", genus::PortDir::kIn, 1);
-  const auto SEL = m.add_port("SEL", genus::PortDir::kIn, 2);
-  const auto CI = m.add_port("CI", genus::PortDir::kIn, 1);
-  const auto CLK = m.add_port("CLK", genus::PortDir::kIn, 1);
-  const auto EN = m.add_port("EN", genus::PortDir::kIn, 1);
-  const auto ARST = m.add_port("ARST", genus::PortDir::kIn, 1);
-  const auto OUT = m.add_port("OUT", genus::PortDir::kOut, w);
-  const auto EQ = m.add_port("FLAG_EQ", genus::PortDir::kOut, 1);
-  const auto LT = m.add_port("FLAG_LT", genus::PortDir::kOut, 1);
-
-  const auto ra = m.add_net("ra", w);
-  const auto alu_out = m.add_net("alu_out", w);
-  const auto sum = m.add_net("sum", w);
-  const auto diff = m.add_net("diff", w);
-  const auto shifted = m.add_net("shifted", w);
-  const auto as_out = m.add_net("as_out", w);
-  const auto alu8_out = m.add_net("alu8_out", w / 2);
-  const auto mul_out = m.add_net("mul_out", w);
-  const auto xr = m.add_net("xr", w);
-  const auto muxed = m.add_net("muxed", w);
-
-  auto& rin = m.add_spec_instance("rin", genus::make_register_spec(w));
-  m.connect(rin, "D", A);
-  m.connect(rin, "CLK", CLK);
-  m.connect(rin, "EN", EN);
-  m.connect(rin, "ARST", ARST);
-  m.connect(rin, "Q", ra);
-
-  auto& alu =
-      m.add_spec_instance("alu0", genus::make_alu_spec(w, genus::alu16_ops()));
-  m.connect(alu, "A", ra);
-  m.connect(alu, "B", B);
-  m.connect(alu, "CI", CI);
-  m.connect(alu, "F", F);
-  m.connect(alu, "OUT", alu_out);
-
-  auto& add =
-      m.add_spec_instance("add0", genus::make_adder_spec(w, false, false));
-  m.connect(add, "A", alu_out);
-  m.connect(add, "B", C);
-  m.connect(add, "S", sum);
-
-  auto& sub = m.add_spec_instance("sub0", genus::make_subtractor_spec(w));
-  m.connect(sub, "A", sum);
-  m.connect(sub, "B", D);
-  m.connect(sub, "S", diff);
-
-  auto& sh = m.add_spec_instance(
-      "sh0", genus::make_shifter_spec(w, OpSet{Op::kShl, Op::kShr}));
-  m.connect(sh, "IN", diff);
-  m.connect(sh, "F", SHF);
-  m.connect(sh, "OUT", shifted);
-
-  auto& cmp = m.add_spec_instance(
-      "cmp0", genus::make_comparator_spec(w, OpSet{Op::kEq, Op::kLt}));
-  m.connect(cmp, "A", sum);
-  m.connect(cmp, "B", D);
-  m.connect(cmp, "EQ", EQ);
-  m.connect(cmp, "LT", LT);
-
-  auto& as = m.add_spec_instance("as0", genus::make_addsub_spec(w));
-  m.connect(as, "A", shifted);
-  m.connect(as, "B", C);
-  m.connect(as, "CI", CI);
-  m.connect(as, "MODE", SHF);
-  m.connect(as, "S", as_out);
-
-  auto& alu8 = m.add_spec_instance(
-      "alu8", genus::make_alu_spec(w / 2, genus::alu16_ops()));
-  m.connect(alu8, "A", sum, 0);
-  m.connect(alu8, "B", sum, w / 2);
-  m.connect(alu8, "CI", CI);
-  m.connect(alu8, "F", F);
-  m.connect(alu8, "OUT", alu8_out);
-
-  auto& mul = m.add_spec_instance(
-      "mul0", genus::make_multiplier_spec(w / 2, w / 2));
-  m.connect(mul, "A", alu8_out);
-  m.connect(mul, "B", diff, w / 2);
-  m.connect(mul, "P", mul_out);
-
-  auto& xg = m.add_spec_instance(
-      "xor0", genus::make_gate_spec(Op::kXor, w, 2));
-  m.connect(xg, "I0", as_out);
-  m.connect(xg, "I1", mul_out);
-  m.connect(xg, "OUT", xr);
-
-  auto& mux = m.add_spec_instance("mux0", genus::make_mux_spec(w, 4));
-  m.connect(mux, "I0", alu_out);
-  m.connect(mux, "I1", sum);
-  m.connect(mux, "I2", xr);
-  m.connect(mux, "I3", shifted);
-  m.connect(mux, "SEL", SEL);
-  m.connect(mux, "OUT", muxed);
-
-  auto& rout =
-      m.add_spec_instance("rout", genus::make_register_spec(w, false, true));
-  m.connect(rout, "D", muxed);
-  m.connect(rout, "CLK", CLK);
-  m.connect(rout, "ARST", ARST);
-  m.connect(rout, "Q", OUT);
-  return m;
-}
 
 /// One workload: a single spec (spec synthesis) or, when `spec` is empty,
 /// the 16-bit datapath (whole-netlist synthesis).
@@ -217,11 +100,12 @@ RunResult run(const Workload& w, int threads, int repeats) {
         if (w.spec) {
           r.alts = synth.synthesize(*w.spec);
         } else {
-          const netlist::Module input = make_datapath(16);
+          const netlist::Module input = testdata::make_sweep_datapath(16);
           r.alts = synth.synthesize_netlist(input);
         }
         r.evaluated = synth.space().stats().combinations_evaluated;
         r.pruned = synth.space().stats().combinations_pruned;
+        r.skipped = synth.space().stats().combinations_skipped;
         r.parallel_odometers = synth.space().stats().parallel_odometers;
         r.odometer_shards = synth.space().stats().odometer_shards;
         r.spec_nodes = synth.space().stats().spec_nodes;
@@ -248,7 +132,7 @@ RunResult run_reference(const Workload& w, int repeats) {
               synth.space(), synth.space().expand(*w.spec));
           r.alts = synth.synthesize(*w.spec);
         } else {
-          const netlist::Module input = make_datapath(16);
+          const netlist::Module input = testdata::make_sweep_datapath(16);
           dtas::reference::NetlistFront front =
               dtas::reference::netlist_front(synth.space(), input);
           r.evaluated = front.combinations;
@@ -268,7 +152,7 @@ bool matches_reference(const Workload& w, const RunResult& compiled,
                        const RunResult& reference) {
   if (w.spec) return benchjson::identical_fronts(compiled.alts, reference.alts);
   dtas::Synthesizer synth(cells::lsi_library(), with_threads(w.options));
-  const netlist::Module input = make_datapath(16);
+  const netlist::Module input = testdata::make_sweep_datapath(16);
   for (dtas::SpecNode* root :
        dtas::reference::netlist_roots(synth.space(), input)) {
     synth.space().evaluate(root);
@@ -362,6 +246,7 @@ int main() {
         .num("speedup", speedup)
         .num("combinations_evaluated", static_cast<double>(compiled.evaluated))
         .num("combinations_pruned", static_cast<double>(compiled.pruned))
+        .num("combinations_skipped", static_cast<double>(compiled.skipped))
         .num("combinations_reference",
              static_cast<double>(reference.evaluated))
         .num("spec_nodes", compiled.spec_nodes)
@@ -408,6 +293,7 @@ int main() {
           .num("combinations_evaluated",
                static_cast<double>(threaded.evaluated))
           .num("combinations_pruned", static_cast<double>(threaded.pruned))
+          .num("combinations_skipped", static_cast<double>(threaded.skipped))
           .str("fronts_identical", tsame ? "yes" : "NO");
       entries.push_back(std::move(te));
     }

@@ -51,6 +51,52 @@ struct CurrentPoolScope {
 
 }  // namespace
 
+namespace {
+
+/// Pools handed back by leases, waiting for the next lease of their size.
+/// Leaked deliberately, like the template cache: a lease may be returned
+/// during static destruction, and parked workers need no join at exit.
+struct IdlePools {
+  static constexpr std::size_t kMaxIdle = 8;
+  Mutex mu;
+  std::vector<ThreadPool*> pools BRIDGE_GUARDED_BY(mu);
+
+  static IdlePools& get() {
+    static IdlePools* idle = new IdlePools;
+    return *idle;
+  }
+};
+
+}  // namespace
+
+ThreadPool::Lease ThreadPool::lease(int workers) {
+  workers = std::max(workers, 0);
+  IdlePools& idle = IdlePools::get();
+  {
+    LockGuard lock(idle.mu);
+    for (auto it = idle.pools.begin(); it != idle.pools.end(); ++it) {
+      if ((*it)->workers() == workers) {
+        ThreadPool* pool = *it;
+        idle.pools.erase(it);
+        return Lease(pool);
+      }
+    }
+  }
+  return Lease(new ThreadPool(workers));
+}
+
+void ThreadPool::Recycle::operator()(ThreadPool* pool) const {
+  IdlePools& idle = IdlePools::get();
+  {
+    LockGuard lock(idle.mu);
+    if (idle.pools.size() < IdlePools::kMaxIdle) {
+      idle.pools.push_back(pool);
+      return;
+    }
+  }
+  delete pool;
+}
+
 ThreadPool::ThreadPool(int workers) {
   if (workers < 0) workers = 0;
   threads_.reserve(workers);

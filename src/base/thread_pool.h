@@ -29,6 +29,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,20 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int workers() const { return static_cast<int>(threads_.size()); }
+
+  /// Deleter of a leased pool: parks it on the process-wide idle list
+  /// (or destroys it when the list is full) instead of joining threads.
+  struct Recycle {
+    void operator()(ThreadPool* pool) const;
+  };
+  using Lease = std::unique_ptr<ThreadPool, Recycle>;
+
+  /// A pool of `workers` threads for one owner at a time: an idle pool of
+  /// that size from the process-wide list, or a new one. Short-lived
+  /// owners (one DesignSpace per synthesis) thereby reuse parked threads
+  /// instead of spawning and joining them on every call. The one-caller
+  /// rule of run() applies per lease; no two leases share a pool.
+  static Lease lease(int workers);
 
   /// fn calls completed across every run() so far (all slots).
   long tasks_executed() const;

@@ -353,9 +353,7 @@ bool DesignSpace::deadline_poll(SpaceStats& stats) {
 }
 
 base::ThreadPool* DesignSpace::pool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<base::ThreadPool>(threads_ - 1);
-  }
+  if (pool_ == nullptr) pool_ = base::ThreadPool::lease(threads_ - 1);
   return pool_.get();
 }
 
@@ -781,21 +779,26 @@ class BoundExchange {
   std::atomic<std::uint64_t> stamp_{0};
 };
 
-/// Combinations between bound exchanges of a parallel shard.
+/// Units of odometer work (combination tests plus block tests) between
+/// checkpoints: fault probe, deadline poll and, in a parallel shard,
+/// bound exchange.
 constexpr long kBoundExchangePeriod = 1024;
 
 struct OdometerCounters {
   long evaluated = 0;
   long pruned = 0;
+  long skipped = 0;      // the part of `pruned` ruled out as whole blocks
+  long block_tests = 0;  // bounds of multi-combination blocks tested
+
+  OdometerCounters& operator+=(const OdometerCounters& o) {
+    evaluated += o.evaluated;
+    pruned += o.pruned;
+    skipped += o.skipped;
+    block_tests += o.block_tests;
+    return *this;
+  }
 };
 
-/// Evaluate the contiguous combination index range [begin, end) of the
-/// odometer — the body of both the serial path (one range covering
-/// everything, shared == nullptr) and each parallel shard. Index i
-/// decodes little-endian into child choices: digit c is
-/// (i / prod(limit[0..c))) % limit[c], matching the serial odometer's
-/// increment-with-carry order, so concatenating shard outputs in shard
-/// order reproduces the serial candidate sequence exactly.
 /// What a shard does when the armed deadline expires mid-range: nothing
 /// (no deadline), stop and keep the candidates gathered so far
 /// (best-effort — the flag records that the enumeration is partial), or
@@ -807,6 +810,37 @@ struct DeadlineHooks {
   std::atomic<bool>* hit = nullptr;  // set by best-effort expiry
 };
 
+/// Evaluate the contiguous combination index range [begin, end) of the
+/// odometer — the body of both the serial path (one range covering
+/// everything, shared == nullptr) and each parallel shard. Index i
+/// decodes little-endian into child choices: digit c is
+/// (i / stride[c]) % limit[c] with stride[c] = prod(limit[0..c)),
+/// matching the serial odometer's increment-with-carry order, so
+/// concatenating shard outputs in shard order reproduces the serial
+/// candidate sequence exactly.
+///
+/// Branch and bound over blocks. Block k at index i (i a multiple of
+/// stride[k]) is the stride[k] combinations that share digits k..n-1
+/// with i, digits 0..k-1 free. Setting every free digit to its child's
+/// minimum area and minimum delay over the trimmed prefix
+/// [0, limit[c]) gives a vector whose plan.area (an FP sum in instance
+/// order) and plan.delay (max-plus) lower-bound every combination of the
+/// block: FP addition and max are monotone in each argument, and so is
+/// ParetoFront::dominates_bound. At each block start the largest block
+/// that fits in [begin, end) is tested — delay_lower_bound first, then
+/// the exact plan.delay — and a dominated block is counted as pruned and
+/// stepped over whole; otherwise its sub-blocks are tested in turn, down
+/// to single combinations (block 0, the per-combination test). Under
+/// pruning the front only grows, and only evaluated candidates grow it,
+/// so every skipped combination is one the per-combination test would
+/// also have pruned, and every combination that is tested sees the same
+/// front it would have seen: the serial candidate sequence and the
+/// serial evaluated/pruned counts are unchanged.
+///
+/// Checkpoints (fault probe, deadline poll, bound exchange) run on a work
+/// counter, +1 per combination test and +1 per block test, every
+/// kBoundExchangePeriod units — an index-based cadence would miss them
+/// once the index jumps over skipped blocks.
 void run_odometer_range(const TimingPlan& plan,
                         const std::vector<SpecNode*>& children,
                         const std::vector<int>& limit, int impl_index,
@@ -818,6 +852,17 @@ void run_odometer_range(const TimingPlan& plan,
   const int n = static_cast<int>(children.size());
   scratch.child_area.resize(n);
   scratch.child_delay.resize(n);
+  std::vector<long> stride(n + 1, 1);
+  std::vector<double> min_area(n), min_delay(n);
+  for (int c = 0; c < n; ++c) {
+    stride[c + 1] = stride[c] * limit[c];
+    min_area[c] = min_delay[c] = std::numeric_limits<double>::infinity();
+    for (int a = 0; a < limit[c]; ++a) {
+      const Metric& m = children[c]->alts[a].metric;
+      min_area[c] = std::min(min_area[c], m.area);
+      min_delay[c] = std::min(min_delay[c], m.delay);
+    }
+  }
   std::vector<int> choice(n, 0);
   long rest = begin;
   for (int c = 0; c < n; ++c) {
@@ -825,43 +870,61 @@ void run_odometer_range(const TimingPlan& plan,
     rest /= limit[c];
   }
   bool local_news = false;  // front points other shards haven't seen
-  for (long idx = begin; idx < end; ++idx) {
-    if ((idx - begin) % kBoundExchangePeriod == 0) {
-      // Per-chunk checkpoint (never per combination): deadline poll and
-      // fault probe share the bound-exchange cadence, so the inner loop
-      // stays one clock read per 1024 combinations at worst.
-      base::FaultInjector::global().probe("dtas.evaluate.plan");
-      if (hooks.deadline != nullptr && hooks.deadline->expired()) {
-        if (!hooks.best_effort) {
-          throw Cancelled("synthesis deadline exceeded in odometer");
-        }
-        hooks.hit->store(true, std::memory_order_relaxed);
-        return;  // keep the candidates evaluated so far
+  long work = 0;
+  long idx = begin;
+  while (idx < end) {
+    // The largest block starting at idx (digits below it all zero) that
+    // fits the range, lowered past limit-1 digits, which leave it the
+    // same block. Without pruning only single combinations are tested.
+    int k = 0;
+    if (prune) {
+      while (k < n && choice[k] == 0) ++k;
+      while (k > 0 && (idx + stride[k] > end || stride[k - 1] == stride[k])) {
+        --k;
       }
     }
-    if (shared != nullptr && idx != begin &&
-        (idx - begin) % kBoundExchangePeriod == 0 &&
-        (local_news || shared->stamp() != shared_stamp)) {
-      shared_stamp = shared->exchange(front);
-      local_news = false;
-    }
-    for (int c = 0; c < n; ++c) {
-      const Metric& m = children[c]->alts[choice[c]].metric;
-      scratch.child_area[c] = m.area;
-      scratch.child_delay[c] = m.delay;
-    }
-    const double area = plan.area(scratch.child_area.data());
-    if (prune &&
-        front.dominates_bound(
-            area, plan.delay_lower_bound(scratch.child_delay.data()))) {
-      ++counters.pruned;
-    } else {
-      const double delay = plan.delay(scratch.child_delay.data(), scratch);
-      if (prune && front.dominates_bound(area, delay)) {
-        // Exact metrics dominated with margin: the candidate can never be
-        // kept, so don't store it.
-        ++counters.pruned;
-      } else {
+    for (;;) {
+      if (work % kBoundExchangePeriod == 0) {
+        base::FaultInjector::global().probe("dtas.evaluate.plan");
+        if (hooks.deadline != nullptr && hooks.deadline->expired()) {
+          if (!hooks.best_effort) {
+            throw Cancelled("synthesis deadline exceeded in odometer");
+          }
+          hooks.hit->store(true, std::memory_order_relaxed);
+          return;  // keep the candidates evaluated so far
+        }
+        if (shared != nullptr && work != 0 &&
+            (local_news || shared->stamp() != shared_stamp)) {
+          shared_stamp = shared->exchange(front);
+          local_news = false;
+        }
+      }
+      ++work;
+      if (k > 0) ++counters.block_tests;
+      for (int c = 0; c < k; ++c) {
+        scratch.child_area[c] = min_area[c];
+        scratch.child_delay[c] = min_delay[c];
+      }
+      for (int c = k; c < n; ++c) {
+        const Metric& m = children[c]->alts[choice[c]].metric;
+        scratch.child_area[c] = m.area;
+        scratch.child_delay[c] = m.delay;
+      }
+      const double area = plan.area(scratch.child_area.data());
+      bool dominated =
+          prune && front.dominates_bound(
+                       area, plan.delay_lower_bound(scratch.child_delay.data()));
+      double delay = 0.0;
+      if (!dominated) {
+        delay = plan.delay(scratch.child_delay.data(), scratch);
+        dominated = prune && front.dominates_bound(area, delay);
+      }
+      if (dominated) {
+        counters.pruned += stride[k];
+        if (k > 0) counters.skipped += stride[k];
+        break;
+      }
+      if (k == 0) {
         Alternative alt;
         alt.impl_index = impl_index;
         alt.child_alt = choice;
@@ -869,9 +932,17 @@ void run_odometer_range(const TimingPlan& plan,
         ++counters.evaluated;
         local_news = front.add(area, delay) || local_news;
         candidates.push_back(std::move(alt));
+        break;
       }
+      // Not ruled out: descend to the first of its next-smaller blocks.
+      do {
+        --k;
+      } while (k > 0 && stride[k - 1] == stride[k]);
     }
-    int c = 0;
+    // Step past block k: digits below k are zero, so this is digit k's
+    // increment with carry.
+    idx += stride[k];
+    int c = k;
     while (c < n && ++choice[c] >= limit[c]) {
       choice[c] = 0;
       ++c;
@@ -907,6 +978,10 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
       obs::Registry::global().counter("dtas.evaluate.combinations.evaluated");
   static obs::Counter& pruned_counter =
       obs::Registry::global().counter("dtas.evaluate.combinations.pruned");
+  static obs::Counter& skipped_counter =
+      obs::Registry::global().counter("dtas.evaluate.combinations.skipped");
+  static obs::Counter& block_tests_counter =
+      obs::Registry::global().counter("dtas.evaluate.block_tests");
   static obs::Counter& parallel_runs_counter =
       obs::Registry::global().counter("dtas.evaluate.odometer.parallel_runs");
   static obs::Counter& shards_counter =
@@ -925,6 +1000,18 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
                  total / min_shard);
   }
 
+  // One odometer run's counts into the stats and their registry mirrors.
+  const auto record = [&](const OdometerCounters& c) {
+    stats.combinations_evaluated += c.evaluated;
+    stats.combinations_pruned += c.pruned;
+    stats.combinations_skipped += c.skipped;
+    stats.block_tests += c.block_tests;
+    evaluated_counter.add(c.evaluated);
+    pruned_counter.add(c.pruned);
+    skipped_counter.add(c.skipped);
+    block_tests_counter.add(c.block_tests);
+  };
+
   DeadlineHooks hooks;
   std::atomic<bool> deadline_hit{false};
   if (deadline_.active()) {
@@ -938,13 +1025,10 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
     run_odometer_range(plan, children, limit, impl_index, 0, total, prune,
                        front, nullptr, 0, hooks, scratch, candidates,
                        counters);
-    stats.combinations_evaluated += counters.evaluated;
-    stats.combinations_pruned += counters.pruned;
+    record(counters);
     if (deadline_hit.load(std::memory_order_relaxed)) {
       stats.deadline_hit = true;
     }
-    evaluated_counter.add(counters.evaluated);
-    pruned_counter.add(counters.pruned);
     return;
   }
 
@@ -983,20 +1067,15 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
     // the enumeration is partial — record it.
     stats.deadline_hit = true;
   }
-  long evaluated = 0;
-  long pruned = 0;
+  OdometerCounters merged;
   for (Shard& s : shards) {
     for (Alternative& alt : s.candidates) {
       front.add(alt.metric.area, alt.metric.delay);
       candidates.push_back(std::move(alt));
     }
-    evaluated += s.counters.evaluated;
-    pruned += s.counters.pruned;
+    merged += s.counters;
   }
-  stats.combinations_evaluated += evaluated;
-  stats.combinations_pruned += pruned;
-  evaluated_counter.add(evaluated);
-  pruned_counter.add(pruned);
+  record(merged);
   parallel_runs_counter.add(1);
   shards_counter.add(num_shards);
   ++stats.parallel_odometers;
@@ -1102,6 +1181,8 @@ void DesignSpace::evaluate_parallel(SpecNode* root) {
     for (const SpaceStats& s : local) {
       stats_.combinations_evaluated += s.combinations_evaluated;
       stats_.combinations_pruned += s.combinations_pruned;
+      stats_.combinations_skipped += s.combinations_skipped;
+      stats_.block_tests += s.block_tests;
       stats_.parallel_odometers += s.parallel_odometers;
       stats_.odometer_shards += s.odometer_shards;
       stats_.deadline_hit = stats_.deadline_hit || s.deadline_hit;

@@ -290,10 +290,13 @@ struct SpaceOptions {
   /// at every thread count.
   ///
   /// Evaluation always runs the compiled TimingPlan odometer with
-  /// bound-and-prune: a combination is skipped when its exact area plus
-  /// its delay lower bound is already dominated (with margin) by an
-  /// evaluated candidate, and discarded without storing when its exact
-  /// metrics are. Pruning never changes the filtered front and is off
+  /// branch-and-bound: a whole block of combinations (all choices of the
+  /// innermost children, the outer ones fixed) is skipped when a lower
+  /// bound on its area and delay is already dominated (with margin) by an
+  /// evaluated candidate; a single combination is skipped on its exact
+  /// area plus its delay lower bound, and discarded without storing when
+  /// its exact metrics are dominated. Pruning never changes the filtered
+  /// front, nor at threads = 1 the evaluated/pruned counts, and is off
   /// under FilterKind::kNone (which keeps dominated candidates). The
   /// functional evaluator the plans replaced is the test oracle in
   /// tests/eval_reference.h.
@@ -316,8 +319,9 @@ struct SpaceOptions {
   std::string trace_path;
   /// Wall-clock budget per synthesize call, in milliseconds; 0 means
   /// unbounded. The deadline is polled cooperatively at coarse
-  /// checkpoints (per rule application, per odometer chunk of 1024
-  /// combinations, per extracted alternative — never per combination), so
+  /// checkpoints (per rule application, every 1024 units of odometer work
+  /// — one unit per combination or block tested — per extracted
+  /// alternative; never per combination), so
   /// overrun past the deadline is bounded by one checkpoint interval. A
   /// run whose deadline never fires is bit-identical to an unbounded run:
   /// the checks only read a clock.
@@ -362,6 +366,8 @@ struct SpaceStats {
   int rejected_templates = 0;  // cyclic or malformed rule output
   long combinations_evaluated = 0;  // odometer combinations kept as candidates
   long combinations_pruned = 0;     // skipped or discarded by bound-and-prune
+  long combinations_skipped = 0;    // the part of pruned ruled out as blocks
+  long block_tests = 0;             // bounds of multi-combination blocks tested
   long parallel_odometers = 0;      // odometer runs that went multi-threaded
   long odometer_shards = 0;         // shards executed across those runs
   long node_parallel_levels = 0;    // DAG antichains evaluated as pool batches
@@ -462,12 +468,15 @@ class DesignSpace {
 
   /// Run the compiled-plan odometer over one child-alternative choice per
   /// entry of `children` (bounded by `limit`, whose product callers must
-  /// already have capped via trim_limits), bound-and-pruning against
+  /// already have capped via trim_limits), branch-and-bounding against
   /// `front`, and append the surviving candidates with the given impl
   /// index. Shared by per-implementation evaluation and whole-netlist
-  /// synthesis — the same hot loop, one level apart. Large odometers are
-  /// sharded across SpaceOptions::threads worker threads; the result is
-  /// bit-identical to the serial run (see SpaceOptions::threads).
+  /// synthesis — the same hot loop, one level apart. Whole blocks of
+  /// combinations are ruled out at once when a lower bound on them is
+  /// dominated; the soundness argument is at run_odometer_range in
+  /// design_space.cpp. Large odometers are sharded across
+  /// SpaceOptions::threads worker threads; the result is bit-identical to
+  /// the serial run (see SpaceOptions::threads).
   void run_plan_odometer(const TimingPlan& plan,
                          const std::vector<SpecNode*>& children,
                          const std::vector<int>& limit, int impl_index,
@@ -518,8 +527,9 @@ class DesignSpace {
   /// stay off when the filter keeps dominated candidates).
   bool prune_enabled() const { return options_.filter != FilterKind::kNone; }
 
-  /// The lazily created odometer pool (threads_ - 1 workers; the calling
-  /// thread is the remaining one). Never created when threads_ == 1.
+  /// The lazily leased odometer pool (threads_ - 1 workers; the calling
+  /// thread is the remaining one), handed back to the process-wide idle
+  /// list when the space is destroyed. Never leased when threads_ == 1.
   base::ThreadPool* pool();
 
   const RuleBase& rules_;
@@ -533,7 +543,7 @@ class DesignSpace {
   // evaluate block per top-level request, not thousands of nested ones.
   int expand_depth_ = 0;
   int eval_depth_ = 0;
-  std::unique_ptr<base::ThreadPool> pool_;
+  base::ThreadPool::Lease pool_;
   std::unordered_map<genus::ComponentSpec, std::unique_ptr<SpecNode>> memo_;
   // Serial-path evaluation scratch, reused across odometer runs. Parallel
   // shards own one EvalScratch per shard instead (see run_plan_odometer).

@@ -61,6 +61,9 @@ class ProfileScope {
                      s.combinations_evaluated - b.combinations_evaluated);
     out_.add_counter("evaluate.combinations.pruned",
                      s.combinations_pruned - b.combinations_pruned);
+    out_.add_counter("evaluate.combinations.skipped",
+                     s.combinations_skipped - b.combinations_skipped);
+    out_.add_counter("evaluate.block_tests", s.block_tests - b.block_tests);
     out_.add_counter("evaluate.odometer.parallel_runs",
                      s.parallel_odometers - b.parallel_odometers);
     out_.add_counter("evaluate.odometer.shards",

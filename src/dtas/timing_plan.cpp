@@ -107,11 +107,9 @@ TimingPlan TimingPlan::compile(
 
   // Collect the predecessor nodes feeding a set of input connections:
   // every writer of every selected input bit that has already run by
-  // schedule position `before` (INT_MAX collects everything, which is what
-  // sequential setup checks see — they run after all steps). This is
-  // exactly the set of values the functional evaluator's arrival-buffer
-  // read would have observed, so collapsing the bits preserves bit-exact
-  // results.
+  // schedule position `before`. This is exactly the set of values the
+  // functional evaluator's arrival-buffer read would have observed, so
+  // collapsing the bits preserves bit-exact results.
   std::vector<int> scratch;
   auto collect_preds = [&](const std::vector<const Conn*>& conns, int before,
                            int self_node) {
@@ -134,7 +132,6 @@ TimingPlan TimingPlan::compile(
     return std::make_pair(begin, static_cast<int>(plan.preds_.size()));
   };
 
-  constexpr int kAfterAllSteps = 1 << 30;
   std::vector<const Conn*> selected;
 
   for (size_t u = 0; u < topo.size(); ++u) {
@@ -155,18 +152,13 @@ TimingPlan TimingPlan::compile(
     plan.steps_.push_back(s);
   }
 
-  for (int si = 0; si < num_seq; ++si) {
-    const int i = seq_insts[si];
-    SeqStep s;
-    s.child = plan.inst_child_[i];
-    plan.child_on_path_[s.child] = 1;
-    selected.clear();
-    for (const Conn& c : ins[i]) {
-      if (c.conn.kind == PortConn::Kind::kNet) selected.push_back(&c);
-    }
-    std::tie(s.setup_begin, s.setup_end) =
-        collect_preds(selected, kAfterAllSteps, -1);
-    plan.seq_.push_back(s);
+  // Sequential instances are path sources only. A path ending at a
+  // register input needs no pass of its own: each of its drivers is a
+  // launch or a step whose completion time delay() already folds into the
+  // worst path.
+  for (int i : seq_insts) {
+    plan.seq_child_.push_back(plan.inst_child_[i]);
+    plan.child_on_path_[plan.inst_child_[i]] = 1;
   }
   return plan;
 }
@@ -175,12 +167,12 @@ double TimingPlan::delay(const double* child_delay,
                          EvalScratch& scratch) const {
   BRIDGE_CHECK(compiled_, "delay() on an uncompiled timing plan");
   std::vector<double>& times = scratch.times;
-  const size_t num_nodes = seq_.size() + steps_.size();
+  const size_t num_nodes = seq_child_.size() + steps_.size();
   if (times.size() < num_nodes) times.resize(num_nodes);
   double worst = 0.0;
   size_t node = 0;
-  for (const SeqStep& s : seq_) {
-    const double d = child_delay[s.child];
+  for (int child : seq_child_) {
+    const double d = child_delay[child];
     times[node++] = d;
     if (d > worst) worst = d;
   }
@@ -193,12 +185,6 @@ double TimingPlan::delay(const double* child_delay,
     const double t = at + child_delay[s.child];
     times[node++] = t;
     if (t > worst) worst = t;
-  }
-  for (const SeqStep& s : seq_) {
-    for (int k = s.setup_begin; k < s.setup_end; ++k) {
-      const double a = times[preds_[k]];
-      if (a > worst) worst = a;
-    }
   }
   return worst;
 }

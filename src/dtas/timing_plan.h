@@ -100,7 +100,7 @@ class TimingPlan {
   /// cache's byte accounting; proportionality matters, exactness doesn't.
   std::size_t approx_footprint_bytes() const {
     return sizeof(TimingPlan) + inst_child_.capacity() * sizeof(int) +
-           child_on_path_.capacity() + seq_.capacity() * sizeof(SeqStep) +
+           child_on_path_.capacity() + seq_child_.capacity() * sizeof(int) +
            steps_.capacity() * sizeof(Step) + preds_.capacity() * sizeof(int);
   }
 
@@ -124,16 +124,12 @@ class TimingPlan {
     int child = -1;            // distinct-child index (delay lookup)
     int pred_begin = 0, pred_end = 0;  // span into preds_
   };
-  struct SeqStep {
-    int child = -1;
-    int setup_begin = 0, setup_end = 0;  // span into preds_ (path sinks)
-  };
 
   bool compiled_ = false;
   std::vector<int> inst_child_;  // instance -> distinct-child index
   std::vector<unsigned char> child_on_path_;
-  std::vector<SeqStep> seq_;     // nodes [0, seq_.size())
-  std::vector<Step> steps_;      // nodes [seq_.size(), ...), topo order
+  std::vector<int> seq_child_;   // nodes [0, seq_child_.size()): launches
+  std::vector<Step> steps_;      // nodes [seq_child_.size(), ...), topo order
   std::vector<int> preds_;       // flattened predecessor node indices
 };
 

@@ -5,20 +5,25 @@
 // either throws bridge::Cancelled with strong exception safety (the
 // Synthesizer stays usable and a re-armed retry is byte-identical) or,
 // in best-effort mode, returns the best-so-far front and sets
-// SpaceStats::deadline_hit.
+// SpaceStats::deadline_hit. The odometer checkpoints (deadline poll and
+// fault probe) run on its work counter, so they keep their cadence when
+// whole blocks of combinations are skipped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "base/cancel.h"
 #include "base/diag.h"
+#include "base/fault.h"
 #include "cells/cell.h"
 #include "dtas/design_space.h"
 #include "dtas/synthesizer.h"
 #include "genus/spec.h"
 #include "netlist/netlist.h"
+#include "sweep_datapath.h"
 #include "vhdl/vhdl.h"
 
 namespace bridge {
@@ -189,6 +194,64 @@ TEST(DeadlineTest, DeadlinePolicyCanBeSwappedPerRequest) {
 
   synth.space().set_deadline_policy(600000, false, nullptr);
   EXPECT_EQ(record_front(synth.synthesize(spec)), expect);
+}
+
+/// The §5 dense sweep (bench_sec6_runtime's datapath16_sweep settings):
+/// the netlist-level odometer rules out most of its ~180k combinations
+/// as whole blocks.
+SpaceOptions dense_sweep(int threads) {
+  SpaceOptions opt;
+  opt.min_delay_gain = 0.0;
+  opt.max_combinations_per_impl = 200000;
+  opt.threads = threads;
+  return opt;
+}
+
+TEST(DeadlineTest, OdometerCheckpointsRunOnTheWorkCounter) {
+  const netlist::Module input = testdata::make_sweep_datapath(16);
+  base::FaultInjector& inj = base::FaultInjector::global();
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    dtas::Synthesizer synth(cells::lsi_library(), dense_sweep(threads));
+    const FrontRecord expect = record_front(synth.synthesize_netlist(input));
+
+    // Every spec is now expanded and evaluated, so a repeat call runs the
+    // netlist-level odometer and nothing else that evaluates. Counting
+    // mode tallies one "dtas.evaluate.plan" probe per checkpoint: one at
+    // the start of each shard (or of the serial range), then one every
+    // 1024 units of work (combination tests plus block tests), however
+    // far the index jumps over skipped blocks.
+    const dtas::SpaceStats before = synth.space().stats();
+    inj.arm(/*seed=*/1, /*period=*/0);
+    EXPECT_EQ(record_front(synth.synthesize_netlist(input)), expect);
+    const long probes = inj.probes("dtas.evaluate.plan");
+    inj.disarm();
+    const dtas::SpaceStats& after = synth.space().stats();
+    const long pruned = after.combinations_pruned - before.combinations_pruned;
+    const long skipped =
+        after.combinations_skipped - before.combinations_skipped;
+    ASSERT_GT(skipped, pruned / 2) << "the sweep must be skip-heavy";
+    const long work = after.combinations_evaluated -
+                      before.combinations_evaluated + pruned - skipped +
+                      after.block_tests - before.block_tests;
+    const long ranges = std::max(
+        1L, after.odometer_shards - before.odometer_shards);
+    EXPECT_GE(probes * 1024, work) << probes << " probes, " << work
+                                   << " units of work";
+    EXPECT_LE(probes, work / 1024 + ranges) << probes << " probes, " << work
+                                            << " units of work";
+
+    // An expired deadline fires at the odometer's first checkpoint.
+    auto token = std::make_shared<CancelToken>();
+    token->request_cancel();
+    synth.space().set_deadline_policy(0, /*best_effort=*/false, token);
+    EXPECT_THROW(synth.synthesize_netlist(input), Cancelled);
+    synth.space().set_deadline_policy(0, /*best_effort=*/true, token);
+    EXPECT_NO_THROW(synth.synthesize_netlist(input));
+    EXPECT_TRUE(synth.space().stats().deadline_hit);
+    synth.space().set_deadline_policy(0, false, nullptr);
+    EXPECT_EQ(record_front(synth.synthesize_netlist(input)), expect);
+  }
 }
 
 }  // namespace

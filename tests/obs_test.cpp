@@ -32,6 +32,7 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "sweep_datapath.h"
 #include "vhdl/vhdl.h"
 
 namespace bridge {
@@ -312,6 +313,9 @@ TEST(ObsAcceptanceTest, RegistryDeltasReconcileWithSpaceStats) {
             s.combinations_evaluated);
   EXPECT_EQ(counter("dtas.evaluate.combinations.pruned"),
             s.combinations_pruned);
+  EXPECT_EQ(counter("dtas.evaluate.combinations.skipped"),
+            s.combinations_skipped);
+  EXPECT_EQ(counter("dtas.evaluate.block_tests"), s.block_tests);
   EXPECT_EQ(counter("dtas.evaluate.odometer.parallel_runs"),
             s.parallel_odometers);
   EXPECT_EQ(counter("dtas.evaluate.odometer.shards"), s.odometer_shards);
@@ -321,6 +325,39 @@ TEST(ObsAcceptanceTest, RegistryDeltasReconcileWithSpaceStats) {
   const dtas::ExtractionCache::Stats& ec = synth.extraction_cache().stats();
   EXPECT_EQ(counter("dtas.extract.extraction_cache.hits"), ec.hits);
   EXPECT_EQ(counter("dtas.extract.extraction_cache.misses"), ec.misses);
+}
+
+TEST(ObsAcceptanceTest, SkippedBlocksReconcileAcrossRegistryStatsAndProfile) {
+  // The §5 dense sweep, where most pruning happens a block at a time: the
+  // registry mirrors, SpaceStats and last_profile() all tell where.
+  const netlist::Module input = testdata::make_sweep_datapath(16);
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SpaceOptions opt;
+    opt.min_delay_gain = 0.0;
+    opt.max_combinations_per_impl = 200000;
+    opt.threads = threads;
+    const obs::Snapshot before = obs::Registry::global().snapshot();
+    dtas::Synthesizer synth(cells::lsi_library(), opt);
+    ASSERT_FALSE(synth.synthesize_netlist(input).empty());
+    const obs::Snapshot d =
+        obs::diff(obs::Registry::global().snapshot(), before);
+    const dtas::SpaceStats& s = synth.space().stats();
+    const obs::Profile& p = synth.last_profile();
+    for (const auto& [name, value] :
+         {std::pair<std::string, long>{"combinations.evaluated",
+                                       s.combinations_evaluated},
+          {"combinations.pruned", s.combinations_pruned},
+          {"combinations.skipped", s.combinations_skipped},
+          {"block_tests", s.block_tests}}) {
+      const auto it = d.counters.find("dtas.evaluate." + name);
+      EXPECT_EQ(it == d.counters.end() ? 0 : it->second, value) << name;
+      EXPECT_EQ(p.counter("evaluate." + name), value) << name;
+    }
+    EXPECT_GT(s.combinations_skipped, s.combinations_pruned / 2);
+    EXPECT_LE(s.combinations_skipped, s.combinations_pruned);
+    EXPECT_GT(s.block_tests, 0);
+  }
 }
 
 TEST(ObsAcceptanceTest, InterleavedSpacesSplitTheGlobalTemplateCacheDelta) {
@@ -365,7 +402,9 @@ TEST(ObsAcceptanceTest, LastProfileDescribesTheCall) {
   EXPECT_EQ(p.phases_ms[0].first, "expand");
   EXPECT_EQ(p.phases_ms[1].first, "evaluate");
   EXPECT_EQ(p.phases_ms[2].first, "extract");
-  if (p.phases_ms.size() == 4u) EXPECT_EQ(p.phases_ms[3].first, "verify");
+  if (p.phases_ms.size() == 4u) {
+    EXPECT_EQ(p.phases_ms[3].first, "verify");
+  }
   for (const auto& [phase, ms] : p.phases_ms) EXPECT_GE(ms, 0.0) << phase;
   EXPECT_GE(p.total_ms(),
             p.phase_ms("expand") + p.phase_ms("evaluate") - 1e-9);
@@ -374,6 +413,8 @@ TEST(ObsAcceptanceTest, LastProfileDescribesTheCall) {
   EXPECT_EQ(p.counter("expand.spec_nodes"), s.spec_nodes);
   EXPECT_EQ(p.counter("evaluate.combinations.evaluated"),
             s.combinations_evaluated);
+  EXPECT_EQ(p.counter("evaluate.combinations.skipped"),
+            s.combinations_skipped);
   EXPECT_EQ(p.counter("extract.extraction_cache.misses"),
             synth.extraction_cache().stats().misses);
 

@@ -319,6 +319,30 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnceAcrossReuse) {
   EXPECT_EQ(empty.peak_queue_depth(), 7);
 }
 
+TEST(ThreadPool, LeasesReuseIdlePoolsButNeverShareOne) {
+  const base::ThreadPool* parked[2] = {nullptr, nullptr};
+  {
+    base::ThreadPool::Lease a = base::ThreadPool::lease(3);
+    base::ThreadPool::Lease b = base::ThreadPool::lease(3);
+    EXPECT_NE(a.get(), b.get()) << "two live leases share a pool";
+    EXPECT_EQ(a->workers(), 3);
+    std::atomic<int> ran{0};
+    a->run(8, [&](int) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 8);
+    parked[0] = a.get();
+    parked[1] = b.get();
+  }
+  // Both pools are parked now; a lease of the same size takes one back,
+  // a lease of another size does not.
+  base::ThreadPool::Lease again = base::ThreadPool::lease(3);
+  base::ThreadPool::Lease other = base::ThreadPool::lease(2);
+  EXPECT_TRUE(again.get() == parked[0] || again.get() == parked[1]);
+  EXPECT_EQ(other->workers(), 2);
+  std::atomic<int> ran{0};
+  again->run(8, [&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
+}
+
 TEST(ThreadPool, SlotIdsStayInRangeAndExceptionsPropagate) {
   base::ThreadPool pool(2);
   // Slots identify the executing thread: 0 = caller, 1..workers().

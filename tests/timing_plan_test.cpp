@@ -20,6 +20,7 @@
 #include "eval_reference.h"
 #include "liberty/liberty.h"
 #include "netlist/netlist.h"
+#include "sweep_datapath.h"
 
 namespace bridge {
 namespace {
@@ -365,6 +366,70 @@ TEST(TimingPlanEquivalence, NetlistPruningNeverChangesTheFront) {
   EXPECT_EQ(a.space().stats().combinations_evaluated +
                 a.space().stats().combinations_pruned,
             dtas::reference::netlist_front(b.space(), input).combinations);
+}
+
+/// Whether trim_limits cut some child to a prefix of at least two
+/// alternatives whose minimum delay is not alts[0]'s: a block bound that
+/// read alts[0] instead of the prefix minimum would overestimate it.
+bool trims_a_tradeoff(const std::vector<dtas::SpecNode*>& children,
+                      const std::vector<int>& limit) {
+  for (size_t c = 0; c < children.size(); ++c) {
+    const auto& alts = children[c]->alts;
+    if (limit[c] >= static_cast<int>(alts.size())) continue;
+    for (int a = 1; a < limit[c]; ++a) {
+      if (alts[a].metric.delay < alts[0].metric.delay) return true;
+    }
+  }
+  return false;
+}
+
+TEST(TimingPlanEquivalence, BlockBoundsHoldOnTrimmedLimits) {
+  // Caps small enough that trim_limits cuts the netlist-level odometer's
+  // children below their alternative counts, so its block bounds take
+  // minima over a strict prefix of each child's alternatives. The TTL and
+  // Liberty books keep at most three alternatives per spec here, so only
+  // the smallest cap trims them; the LSI book is trimmed at every cap.
+  const std::vector<netlist::Module> inputs = {
+      make_test_datapath(), testdata::make_sweep_datapath(16)};
+  const std::vector<long> caps = {8, 64, 4096};
+  std::set<std::string> libraries_trimmed;
+  std::set<long> caps_trimmed;
+  long skipped = 0;
+  for (const cells::CellLibrary* lib : registry().all()) {
+    for (long cap : caps) {
+      for (int threads : {1, 8}) {
+        dtas::SpaceOptions options;
+        options.min_delay_gain = 0.0;
+        options.max_combinations_per_impl = cap;
+        options.threads = threads;
+        for (const netlist::Module& input : inputs) {
+          const std::string context = lib->name() + " cap " +
+                                      std::to_string(cap) + " t" +
+                                      std::to_string(threads) + " " +
+                                      input.name();
+          expect_netlist_matches_reference(*lib, input, options, context);
+          dtas::Synthesizer synth(*lib, options);
+          synth.synthesize_netlist(input);
+          skipped += synth.space().stats().combinations_skipped;
+          const std::vector<dtas::SpecNode*> roots =
+              dtas::reference::netlist_roots(synth.space(), input);
+          const std::vector<int> limit =
+              dtas::reference::netlist_limits(synth.space(), roots);
+          for (size_t c = 0; c < roots.size(); ++c) {
+            if (limit[c] < static_cast<int>(roots[c]->alts.size())) {
+              libraries_trimmed.insert(lib->name());
+            }
+          }
+          if (trims_a_tradeoff(roots, limit)) caps_trimmed.insert(cap);
+        }
+      }
+    }
+  }
+  // Every library had a child trimmed, and at every cap some trimmed
+  // prefix still traded delay for area.
+  EXPECT_EQ(libraries_trimmed.size(), registry().all().size());
+  EXPECT_EQ(caps_trimmed.size(), caps.size());
+  EXPECT_GT(skipped, 0);
 }
 
 TEST(ParetoFront, StaircaseSemantics) {

@@ -141,6 +141,17 @@ CTRL_MAX_US = {
     "seeded_us": 8000.0,
 }
 
+# Branch-and-bound odometer budget (bench_sec6_runtime ->
+# sec6_runtime/datapath16_sweep1m): the serial (threads = 1) compiled arm's
+# wall time in milliseconds on the one-million-combination sweep. An
+# absolute ceiling like fig1/cosim: the block-skipping odometer measured
+# 12-20 ms on a shared 4-core x86 container, Release build, where testing
+# every combination on its own took 70-140 ms on the same kind of
+# machine, so the ceiling leaves ~3-5x headroom for a slower runner and
+# still fails a fall back to per-combination testing.
+ODOMETER_ENTRY = "sec6_runtime/datapath16_sweep1m"
+ODOMETER_MAX_WALL_MS = 60.0
+
 # Server-throughput floors (bench_server_throughput -> BENCH_server.json,
 # checked via --server). Absolute and within-run, like the cache floors:
 # `warm_cold_speedup` compares warm sessions against one-shot cold
@@ -359,6 +370,25 @@ def check_ctrl(fresh, failures):
             failures.append(f"{CTRL_ENTRY}: {field} missing or zero")
 
 
+def check_odometer(fresh, failures):
+    """Hold the serial dense-sweep odometer to its absolute ceiling."""
+    e = fresh.get(ODOMETER_ENTRY)
+    if e is None:
+        failures.append(f"{ODOMETER_ENTRY}: gated entry missing from fresh "
+                        "run")
+        return
+    ms = e.get("wall_ms_compiled")
+    if ms is None:
+        failures.append(f"{ODOMETER_ENTRY}: wall_ms_compiled missing")
+    elif ms > ODOMETER_MAX_WALL_MS:
+        failures.append(
+            f"{ODOMETER_ENTRY}: compiled arm {ms:.1f} ms at 1 thread "
+            f"exceeds the {ODOMETER_MAX_WALL_MS:.0f} ms ceiling")
+    else:
+        print(f"{ODOMETER_ENTRY}: compiled arm {ms:.1f} ms at 1 thread "
+              f"(ceiling {ODOMETER_MAX_WALL_MS:.0f} ms) ok")
+
+
 def check_server(path, failures):
     """Hold the server-throughput entries to their absolute floors."""
     entries = load_entries(path)
@@ -447,6 +477,7 @@ def main():
     check_lint_phase(fresh, failures)
     check_cosim(fresh, failures)
     check_ctrl(fresh, failures)
+    check_odometer(fresh, failures)
     if args.server:
         check_server(args.server, failures)
 
